@@ -248,7 +248,6 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
         const auto useful = static_cast<unsigned>(std::min<std::size_t>(
             eff, std::max<std::size_t>(1, width / breakeven)));
         d.threads = useful;
-        d.legacy_threads = useful;
         const bool lane =
             (rank || scan_op_lane32(op)) && width <= kHotMaxVertices;
         // Sharding IS the typed n > 2^31 fallback; inside a shard the
@@ -298,23 +297,25 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
     d.threads = useful;
     d.sublists = static_cast<double>(useful) *
                  static_cast<double>(sublists_per_thread_);
-    // Can the packed single-gather path serve this request? Ranking packs
-    // the constant 1; lane-capable scans pack their values (subject to
-    // the per-run 32-bit fit check, which falls back in the kernel).
-    const bool lane =
-        (rank || scan_op_lane32(op)) && n <= kHotMaxVertices;
-    // Resolve the requested tier against the lane capability and CPUID:
-    // which kernel families may the tuner search? kLegacy pins the
-    // unpacked kernels; kSimdGather on a gather-incapable CPU (or under
-    // LR90_FORCE_SCALAR) downgrades here, at plan time, to the cursor
-    // family -- the same binary, a different branch.
-    const bool packed_ok = lane && tier_ != KernelTier::kLegacy;
-    // The deprecated width pin under kAuto keeps the OLD family contract
-    // (scalar cursors at exactly that W -- the interleave sweep and the
-    // pin tests depend on the literal width); only an explicit
-    // kSimdGather request combines a pin with the vector family.
+    // The packed single-gather path serves every operator up to the
+    // 31-bit link bound: ranking and lane-capable scans pack 8-byte hot
+    // words (a value missing the 32-bit lane repacks wide at run time),
+    // the 64-bit operators 16-byte wide records. kLegacy pins the
+    // unpacked kernels.
+    const bool packed_ok =
+        n <= kHotMaxVertices && tier_ != KernelTier::kLegacy;
+    // Resolve the requested tier against the record width and CPUID:
+    // which kernel families may the tuner search? The gather tier loads
+    // 8-byte hot words only, so wide records tune the cursor family;
+    // kSimdGather on a gather-incapable CPU (or under LR90_FORCE_SCALAR)
+    // downgrades here, at plan time, to the cursor family -- the same
+    // binary, a different branch. The deprecated width pin under kAuto
+    // keeps the OLD family contract (scalar cursors at exactly that W --
+    // the interleave sweep and the pin tests depend on the literal
+    // width); only an explicit kSimdGather request combines a pin with
+    // the vector family.
     const bool simd_ok =
-        packed_ok && simd_gather_available() &&
+        packed_ok && (rank || scan_op_lane32(op)) && simd_gather_available() &&
         (tier_ == KernelTier::kSimdGather ||
          (tier_ == KernelTier::kAuto && pinned_interleave_ == 0));
     const TuneTier tt = !simd_ok ? TuneTier::kCursorsOnly
@@ -350,22 +351,14 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
         d.method = Method::kSerial;
       }
     }
-    d.tier = KernelTier::kLegacy;  // serial / non-lane / pinned-legacy runs
+    d.tier = KernelTier::kLegacy;  // serial / pinned-legacy / n > 2^31 runs
     if (d.method == Method::kReidMiller) {
       if (requested != Method::kAuto) {
         // An explicit reid-miller request keeps every available thread.
         d.threads = eff;
-        d.legacy_threads = eff;
-      } else {
-        // The legacy kernels (planned, or reached by a runtime
-        // lane-overflow fallback) have no W-way latency hiding: they
-        // always want the full breakeven-shed count, even when the
-        // packed model saturates at fewer workers below.
-        d.legacy_threads = useful;
-        if (threads_ == 0 && packed_ok) {
-          // Auto threads: the joint grid picked the worker count.
-          d.threads = std::max(1u, std::min(ht.threads, eff));
-        }
+      } else if (threads_ == 0 && packed_ok) {
+        // Auto threads: the joint grid picked the worker count.
+        d.threads = std::max(1u, std::min(ht.threads, eff));
       }
       d.sublists = static_cast<double>(d.threads) *
                    static_cast<double>(sublists_per_thread_);
@@ -488,8 +481,6 @@ class HostBackend final : public ExecutionBackend {
     hp.threads = plan.method == Method::kSerial ? 1 : plan.threads;
     hp.sublists = static_cast<std::size_t>(plan.sublists);
     hp.interleave = plan.interleave;
-    hp.legacy_threads =
-        plan.method == Method::kSerial ? 1 : plan.legacy_threads;
     hp.tier = plan.method == Method::kSerial ? KernelTier::kLegacy
                                              : plan.tier;
     host_exec::ExecInfo info;
@@ -525,12 +516,13 @@ class HostBackend final : public ExecutionBackend {
     const bool sublists_ran = info.sublists > 0;
     out.stats.algo.rounds = n == 0 ? 0 : (sublists_ran ? 3 : 1);
     out.stats.algo.link_steps = sublists_ran ? 2 * n : n;
-    // Owner table + stamps (1.5n words) + bitmap (n bytes) + the packed
-    // slab (n words when it ran) + O(sublists) arrays.
+    // Boundary bitmap (n bytes) + the slab when it ran (n words of hot
+    // words, 2n of wide records) + O(sublists) arrays, the head-ownership
+    // table among them.
     out.stats.algo.extra_words =
         sublists_ran
-            ? n + n / 2 + n / 8 + (info.packed ? n : 0) +
-                  4 * static_cast<std::uint64_t>(plan.sublists)
+            ? n / 8 + (info.packed ? (info.wide ? 2 * n : n) : 0) +
+                  6 * static_cast<std::uint64_t>(info.sublists)
             : 0;
     out.stats.host_interleave = info.interleave;
     out.stats.host_threads = info.threads;

@@ -221,13 +221,14 @@ struct RunStats {
   // intra-request thread scaling.
   unsigned host_interleave = 0;   ///< cursors in flight per worker
   unsigned host_threads = 0;      ///< worker threads the run actually used
-  bool host_packed = false;       ///< the single-gather packed slab ran
+  bool host_packed = false;       ///< the single-gather slab ran (either width)
   bool host_packed_cached = false;  ///< slab reused from the batch cache
   /// The kernel tier that ACTUALLY executed the hot phases (host backend;
   /// kAuto on the other backends and on runs that never reached the host
   /// kernels). Reports runtime downgrades the plan could not see: a
-  /// value missing the 32-bit lane lands on kLegacy, a gather-incapable
-  /// CPU lands kSimdGather plans on kPackedCursors.
+  /// value missing the 32-bit lane repacks into wide records and lands
+  /// on kPackedCursors, and so does a kSimdGather plan on a
+  /// gather-incapable CPU.
   KernelTier kernel_tier = KernelTier::kAuto;
 
   // Per-phase wall clock of the host sublist kernel (zero on the serial
@@ -322,10 +323,10 @@ struct EngineOptions {
   /// Which host kernel family serves the hot phases. kAuto lets the
   /// Planner pick from the cost model and CPUID (the SIMD gather tier is
   /// considered only where simd_gather_available()); pinning a tier
-  /// forces that family, subject to the typed runtime fallbacks
-  /// (non-lane-capable operators and n > 2^31 run kLegacy; kSimdGather
-  /// without usable AVX2 runs kPackedCursors). Replaces the implicit
-  /// "interleave == 0 means auto" contract.
+  /// forces that family, subject to the typed runtime fallbacks (n >
+  /// 2^31 unsharded runs kLegacy; kSimdGather runs kPackedCursors without
+  /// usable AVX2 and for the wide records of the 64-bit operators).
+  /// Replaces the implicit "interleave == 0 means auto" contract.
   KernelTier tier = KernelTier::kAuto;
   /// DEPRECATED width alias (one release): cursors in flight per worker
   /// on the packed hot path. 0 = let the Planner pick from the host cost
@@ -386,16 +387,10 @@ class Planner {
     /// at run time -- RunStats::kernel_tier reports what actually ran.
     KernelTier tier = KernelTier::kAuto;
     /// Host packed-path interleave width W (cursors in flight per
-    /// worker); 0 selects the legacy unpacked kernels. Set for
-    /// packed-capable host runs from the tune memo (or the pinned
-    /// EngineOptions::interleave).
+    /// worker); 0 selects the legacy unpacked kernels. Set for packed
+    /// host runs (every operator, either record width) from the tune
+    /// memo (or the pinned EngineOptions::interleave).
     unsigned interleave = 0;
-    /// Host worker threads for a RUNTIME fallback from the packed path
-    /// to the legacy kernels (a value missing the 32-bit lane): the
-    /// packed-optimal `threads` can be lower than the unpacked kernels
-    /// want, so the planner carries the breakeven-shed count separately.
-    /// 0 = same as `threads`.
-    unsigned legacy_threads = 0;
     double predicted_cycles = 0.0;  ///< sim cost-model estimate; 0 if n/a
     /// Shards the run splits into (src/shard/ two-level path); 0 = the
     /// ordinary unsharded execution. Set from a pinned

@@ -17,23 +17,28 @@
 //  * the LEGACY kernels (KernelTier::kLegacy; HostPlan::interleave == 0
 //    under kAuto) -- one cursor per sublist, one dependent load per
 //    element plus a second gather on the value array and a third random
-//    access into the boundary bitmap. This is the seed behaviour, kept
-//    for operators whose values need all 64 bits and as the differential
-//    baseline.
+//    access into the boundary bitmap. This is the seed behaviour, kept as
+//    the differential baseline and for a pinned kLegacy tier; no
+//    operator needs it any more.
 //  * the PACKED multi-cursor kernels (KernelTier::kPackedCursors;
 //    interleave >= 1 under kAuto) -- the modern-CPU analog of the paper's
-//    VL=64 vector gathers. A single-gather slab (lists/encode.hpp
-//    hot_pack: link + value lane + sublist-tail flag in one 64-bit word)
-//    is built once per run -- and cached across same-list batch runs --
-//    then each worker advances W independent sublist cursors round-robin
-//    with software prefetch on every next hop. One random load per
-//    element, W dependent-load chains in flight per thread: instead of
-//    stalling a full memory round-trip per element, the core overlaps W
-//    of them, exactly as the C90 overlapped 64 lanes of a vector gather.
-//    Cursors that finish their sublist refill from a shared claim
-//    counter; the last < W sublists drain scalar.
+//    VL=64 vector gathers. A single-gather slab is built once per run --
+//    and cached across same-list batch runs -- then each worker advances
+//    W independent sublist cursors round-robin with software prefetch on
+//    every next hop. The slab holds one record per vertex in one of two
+//    widths (lists/encode.hpp): the 8-byte hot word (hot_pack: link +
+//    32-bit value lane + sublist-tail flag) for ranking and the lane-32
+//    operators, or the 16-byte wide record (HotWide: link, tail flag,
+//    full 64-bit value) for seg-sum, affine and max-plus and for any run
+//    whose values miss the lane. Either way: one random load per element,
+//    W dependent-load chains in flight per thread -- instead of stalling
+//    a full memory round-trip per element, the core overlaps W of them,
+//    exactly as the C90 overlapped 64 lanes of a vector gather. Cursors
+//    that finish their sublist refill from a shared claim counter; the
+//    last < W sublists drain scalar.
 //  * the SIMD GATHER kernels (KernelTier::kSimdGather) -- the same W
-//    cursors, but four lanes at a time through _mm256_i32gather_epi64:
+//    cursors over the 8-byte hot word only, four lanes at a time through
+//    _mm256_i32gather_epi64:
 //    the hot word already holds link + value + stop flag, so ONE vector
 //    gather fetches four elements' everything, tails fall out of a sign
 //    movemask, and the combine runs vertically in ymm registers. This is
@@ -58,6 +63,7 @@
 #include <chrono>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/kernel_tier.hpp"
@@ -80,24 +86,18 @@ struct HostPlan {
   unsigned threads = 1;
   /// Total sublist count target; < 2 selects the serial fallback.
   std::size_t sublists = 0;
-  /// Cursors in flight per worker on the packed hot path. 0 selects the
-  /// legacy unpacked single-cursor kernels (the seed behaviour); >= 1
-  /// selects the packed single-gather path -- when the operator's values
-  /// fit the 32-bit lane -- with `interleave` round-robin cursors.
+  /// Cursors in flight per worker on the packed hot path. Under kAuto, 0
+  /// selects the legacy unpacked single-cursor kernels (the seed
+  /// behaviour) and >= 1 the packed single-gather path with `interleave`
+  /// round-robin cursors.
   unsigned interleave = 0;
-  /// Worker threads when a packed plan falls back to the legacy kernels
-  /// at run time (a value missing the 32-bit lane): the packed-optimal
-  /// thread count can be lower than what the unpacked kernels want --
-  /// they have no W-way latency hiding -- so the Planner supplies both.
-  /// 0 = use `threads`.
-  unsigned legacy_threads = 0;
   /// Which kernel family serves phases 1 + 3. kAuto preserves the legacy
   /// contract (interleave == 0 -> kLegacy, >= 1 -> kPackedCursors) for
   /// direct callers of this layer; the Planner always resolves it.
   /// kSimdGather downgrades at run time to kPackedCursors when the CPU
-  /// has no usable AVX2 (or LR90_FORCE_SCALAR is set), and any packed
-  /// tier downgrades to kLegacy when the operator's values miss the
-  /// 32-bit lane or n exceeds kHotMaxVertices -- never a wrong answer.
+  /// has no usable AVX2 (or LR90_FORCE_SCALAR is set) or the slab holds
+  /// wide records, and any packed tier downgrades to kLegacy when n
+  /// exceeds kHotMaxVertices -- never a wrong answer.
   KernelTier tier = KernelTier::kAuto;
 };
 
@@ -111,12 +111,13 @@ struct ExecInfo {
   /// on the serial walk, 0 when nothing ran (empty list).
   unsigned threads = 0;
   bool packed = false;        ///< the single-gather slab path ran
+  bool wide = false;          ///< ...over 16-byte wide records
   bool packed_cached = false; ///< ...and the slab came from the batch cache
   bool phase2_parallel = false;  ///< phase 2 ran the blocked parallel scan
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
   /// The kernel family that ACTUALLY ran (after every runtime downgrade):
-  /// kSimdGather / kPackedCursors for the packed phases, kLegacy for the
-  /// unpacked kernels and the serial walk, kAuto when nothing ran (empty
+  /// kSimdGather / kPackedCursors for the packed phases (either record
+  /// width), kLegacy for the unpacked kernels and the serial walk, kAuto when nothing ran (empty
   /// list).
   KernelTier tier = KernelTier::kAuto;
 
@@ -258,55 +259,52 @@ inline void choose_boundaries(const LinkedList& list, std::size_t count,
   }
 }
 
-/// Builds the single-gather slab into ws.packed from the list and the
-/// per-run boundary bitmap (ws.is_tail must already be chosen): word v =
-/// hot_pack(is_tail[v], next[v], value lane). One O(n) pass, split into
-/// per-thread index ranges (hot_pack_range) claimed from an atomic
-/// counter. `kOnes` forces every value lane to 1 (ranking) and cannot
-/// fail; otherwise returns false -- slab contents unspecified -- if any
-/// value does not round-trip through the signed 32-bit lane.
-template <bool kOnes, ListOp Op>
-bool build_packed(const LinkedList& list, Op, unsigned threads,
-                  Workspace& ws, bool simd = false) {
-  static_assert(kOnes || kOpLane32<Op>,
-                "64-bit-value operators take the legacy kernels");
+/// Builds the single-gather slab into the workspace's slab buffer from
+/// the list and the per-run boundary bitmap (ws.is_tail must already be
+/// chosen): record v = (is_tail[v], next[v], value[v]) as an 8-byte hot
+/// word (Rec = packed_t, lists/encode.hpp hot_pack) or a 16-byte wide
+/// record (Rec = HotWide). One O(n) pass, split into per-thread index
+/// ranges (hot_pack_range) claimed from an atomic counter. `kOnes` forces
+/// every value to 1 (ranking). Returns false -- slab contents unspecified
+/// -- iff a hot-word build meets a value that does not round-trip through
+/// the signed 32-bit lane; ranking and wide builds cannot fail.
+template <class Rec, bool kOnes>
+bool build_packed(const LinkedList& list, unsigned threads, Workspace& ws,
+                  bool simd = false) {
   const std::size_t n = list.size();
-  ws.fit_uninit(ws.packed, n);
+  Rec* out = ws.fit_slab<Rec>(n);
   const index_t* next = list.next.data();
   const value_t* val = kOnes ? nullptr : list.value.data();
   const std::uint8_t* tail = ws.is_tail.data();
-  packed_t* out = ws.packed.data();
   const std::size_t blocks = std::max<std::size_t>(1, threads);
   std::atomic<bool> ok{true};
   claim_blocks(threads, blocks, [&](std::size_t b) {
     const auto [begin, end] = block_range(n, blocks, b);
-    bool fit;
+    bool fit = false;
 #if LR90_SIMD_GATHER_COMPILED
     // Callers pass simd only when simd_gather_available(); the target
     // function is called, never inlined here, so this stays legal on
     // non-AVX2 CPUs that never take the branch.
-    if (simd)
-      fit = hot_pack_range_simd(next, val, tail, out, begin, end);
-    else
-#else
-    (void)simd;
+    if constexpr (std::is_same_v<Rec, packed_t>)
+      if (simd) fit = hot_pack_range_simd(next, val, tail, out, begin, end);
 #endif
-      fit = hot_pack_range(next, val, tail, out, begin, end);
+    if (!simd) fit = hot_pack_range(next, val, tail, out, begin, end);
     if (!fit) ok.store(false, std::memory_order_relaxed);
   });
   return ok.load(std::memory_order_relaxed);
 }
 
-/// The multi-cursor driver shared by the packed phases: walks all `k`
-/// sublists over `threads` workers, each keeping up to `W` cursors in
-/// flight. Per element: ONE gather from the slab, a prefetch of the next
-/// hop, then `step(vertex, word, acc)`; at a sublist tail,
-/// `finish(sublist, tail_vertex, acc)` runs and the cursor refills from
-/// the shared claim counter (perfect load balance; the final < W sublists
-/// drain with shrinking parallelism). `init(sublist)` seeds the
-/// accumulator.
-template <class AccInit, class Step, class Finish>
-void interleave_sublists(const packed_t* packed, const index_t* heads,
+/// The multi-cursor driver shared by the packed phases, over either
+/// record width (Rec = packed_t hot words or HotWide records): walks all
+/// `k` sublists over `threads` workers, each keeping up to `W` cursors in
+/// flight. Per element: ONE gather of the vertex's record from the slab,
+/// a prefetch of the next hop, then `step(vertex, record, acc)`; at a
+/// sublist tail, `finish(sublist, tail_vertex, acc)` runs and the cursor
+/// refills from the shared claim counter (perfect load balance; the final
+/// < W sublists drain with shrinking parallelism). `init(sublist)` seeds
+/// the accumulator.
+template <class Rec, class AccInit, class Step, class Finish>
+void interleave_sublists(const Rec* slab, const index_t* heads,
                          std::size_t k, unsigned threads, unsigned W,
                          AccInit init, Step step, Finish finish) {
   W = std::clamp(W, 1u, kMaxInterleave);
@@ -324,7 +322,7 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
           next_claim.fetch_add(1, std::memory_order_relaxed);
       if (j >= k) return false;
       cur[active] = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-      prefetch_ro(&packed[heads[j]]);
+      prefetch_ro(&slab[heads[j]]);
       ++active;
       return true;
     };
@@ -333,8 +331,8 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
     while (active > 0) {
       for (std::size_t i = 0; i < active;) {
         Cursor& c = cur[i];
-        const packed_t w = packed[c.v];
-        prefetch_ro(&packed[hot_link(w)]);
+        const Rec w = slab[c.v];
+        prefetch_ro(&slab[hot_link(w)]);
         step(c.v, w, c.acc);
         if (!hot_tail(w)) {
           c.v = hot_link(w);
@@ -346,7 +344,7 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
             next_claim.fetch_add(1, std::memory_order_relaxed);
         if (j < k) {
           c = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-          prefetch_ro(&packed[heads[j]]);
+          prefetch_ro(&slab[heads[j]]);
           ++i;
         } else {
           --active;  // drain: rerun index i with the swapped-in cursor
@@ -617,29 +615,33 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     return info;
   };
 
+  // Can the values live in the hot word's 32-bit lane? Ranking packs the
+  // constant 1 and lane-capable operators their values; the 64-bit
+  // operators take the wide record.
+  constexpr bool kLane = kOnes || kOpLane32<Op>;
   std::size_t want = std::min(plan.sublists, n / 2);
   // Resolve the kernel tier. kAuto preserves the legacy contract
   // (interleave >= 1 selects the packed cursors) for direct callers;
   // then the runtime downgrades apply in order -- kSimdGather needs
-  // usable AVX2 (CPUID + LR90_FORCE_SCALAR, support/cpu_features.hpp),
-  // and any packed tier needs the 32-bit value lane and the 31-bit link
+  // usable AVX2 (CPUID + LR90_FORCE_SCALAR, support/cpu_features.hpp)
+  // and the 8-byte hot word, and any packed tier needs the 31-bit link
   // bound. The packed path pays off even on one thread (W independent
   // load chains hide latency where the serial walk stalls on every hop);
   // the legacy kernels need real threads to beat the serial walk.
-  KernelTier tier = plan.tier != KernelTier::kAuto
-                        ? plan.tier
-                        : (plan.interleave >= 1 ? KernelTier::kPackedCursors
-                                                : KernelTier::kLegacy);
+  const KernelTier tier =
+      plan.tier != KernelTier::kAuto
+          ? plan.tier
+          : (plan.interleave >= 1 ? KernelTier::kPackedCursors
+                                  : KernelTier::kLegacy);
+  const bool packed = tier != KernelTier::kLegacy && n <= kHotMaxVertices;
+  // The record width: wide for 64-bit operators, and -- decided at build
+  // time below -- for lane operators whose values miss the lane.
+  bool wide = packed && !kLane;
   bool simd = false;
 #if LR90_SIMD_GATHER_COMPILED
-  if constexpr (kOnes || kOpLane32<Op>)
-    simd = tier == KernelTier::kSimdGather && simd_gather_available();
+  simd = packed && kLane && tier == KernelTier::kSimdGather &&
+         simd_gather_available();
 #endif
-  if (tier == KernelTier::kSimdGather && !simd)
-    tier = KernelTier::kPackedCursors;
-  bool packed = tier != KernelTier::kLegacy && (kOnes || kOpLane32<Op>) &&
-                n <= kHotMaxVertices;
-  if (!packed) simd = false;
   if (want < 2 || (!packed && plan.threads <= 1)) return serial_fallback();
 
   const unsigned W = simd ? simd_lane_count(plan.interleave)
@@ -658,11 +660,12 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
         n / 2);
   // A shared (cross-request) slab, installed by the serving layer for
   // immutable snapshot lists, replaces both boundary choice and the slab
-  // build outright when its shape matches this run's plan. Like the
+  // build outright when its shape matches this run's plan. Shared slabs
+  // hold 8-byte hot words only, so a wide run never takes one. Like the
   // batch-cache hit below, the RNG is left undrawn -- answers are exact
   // under any sublist decomposition.
   const PackedSlab* ext = nullptr;
-  if (packed) {
+  if (packed && !wide) {
     const PackedSlab* s = ws.shared_slab();
     if (s && s->n == n && s->ones == kOnes && s->heads.size() == want &&
         !s->words.empty())
@@ -677,16 +680,18 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     key.head = list.head;
     key.sublists = want;
     key.ones = kOnes;
+    key.wide = wide;
     key.rng_at_entry = ws.rng;  // before any draws: picks would repeat
     cache_hit = ws.packed_cache_hit(key);
+    // A hot-word run may ride a wide slab of the same list (a wide
+    // record holds the full value), but only the cursor tier reads it.
+    if (cache_hit) wide = ws.packed_wide();
   }
   using Clock = std::chrono::steady_clock;
   const auto since_ns = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::nano>(Clock::now() - t0)
         .count();
   };
-  const unsigned legacy_threads =
-      plan.legacy_threads > 0 ? plan.legacy_threads : plan.threads;
   const auto t_build = Clock::now();
   if (!ext && !cache_hit) {
     choose_boundaries(list, want - 1, ws, list.find_tail());
@@ -697,37 +702,29 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     ws.heads.clear();
     ws.heads.push_back(list.head);
     for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
-    bool built = false;
-    if constexpr (kOnes || kOpLane32<Op>) {
-      if (packed)
-        built = build_packed<kOnes>(list, op, plan.threads, ws, simd);
-    }
-    if (built) {
+    if (packed) {
+      // A value missing the 32-bit lane repacks the same decomposition
+      // into wide records -- still the packed kernels, never a wrong
+      // answer.
+      if (!wide) wide = !build_packed<packed_t, kOnes>(list, plan.threads,
+                                                        ws, simd);
+      if (wide) build_packed<HotWide, kOnes>(list, plan.threads, ws);
+      key.wide = wide;
       ws.packed_cache_store(key);
     } else {
-      // Either the legacy kernels were planned, or some value misses the
-      // 32-bit lane: the slab (if any) no longer matches ws.heads.
-      if (packed && legacy_threads <= 1) {
-        ws.invalidate_packed();
-        return serial_fallback();
-      }
-      packed = false;
-      simd = false;
-      ws.invalidate_packed();
+      ws.invalidate_packed();  // the legacy kernels clobbered ws.heads
     }
   }
+  if (wide) simd = false;
   // Slab pointers for the packed phases: the shared slab when installed,
   // the workspace's own otherwise. Resolved after the build section --
-  // ws.heads/ws.packed may have reallocated during it.
-  const packed_t* words = ext ? ext->words.data() : ws.packed.data();
+  // ws.heads and the slab buffer may have reallocated during it.
+  const packed_t* words = ext ? ext->words.data() : ws.slab<packed_t>();
+  const HotWide* records = ws.slab<HotWide>();
   const index_t* heads = ext ? ext->heads.data() : ws.heads.data();
   const std::size_t k = ext ? ext->heads.size() : ws.heads.size();
   info.build_ns = (ext || cache_hit) ? 0.0 : since_ns(t_build);
-
-  // From here on the worker count is path-dependent: the packed kernels
-  // run the (possibly lower) packed-optimal count, a runtime fallback to
-  // the legacy kernels takes the breakeven-shed count they want.
-  const unsigned threads = packed ? plan.threads : legacy_threads;
+  const unsigned threads = plan.threads;
 
   // The legacy kernels walk sublists claimed in chunks from a shared
   // counter -- the unpacked counterpart of the multi-cursor refill, and
@@ -741,6 +738,13 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
                    for (std::size_t j = j0; j < j1; ++j) body(j);
                  });
   };
+  // Runs the cursor driver over whichever record width the slab holds.
+  const auto cursors = [&](auto init, auto step, auto finish) {
+    if (wide)
+      interleave_sublists(records, heads, k, threads, W, init, step, finish);
+    else
+      interleave_sublists(words, heads, k, threads, W, init, step, finish);
+  };
 
   // Phase 1: per-sublist inclusive sums; record each sublist's tail.
   const auto t_phase1 = Clock::now();
@@ -749,7 +753,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   if (packed) {
     bool vectored = false;
 #if LR90_SIMD_GATHER_COMPILED
-    if constexpr (kOnes || kOpLane32<Op>) {
+    if constexpr (kLane) {
       if (simd) {
         simd_gather_sublists<Op, /*kPhase3=*/false>(
             words, heads, k, threads, W, ws.sums.data(), ws.tails.data(),
@@ -759,16 +763,14 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     }
 #endif
     if (!vectored)
-      interleave_sublists(
-          words, heads, k, threads, W,
-          [&](std::size_t) { return Op::identity(); },
-          [&](index_t, packed_t w, value_t& acc) {
-            acc = op(acc, hot_value(w));
-          },
-          [&](index_t j, index_t v, value_t acc) {
-            ws.sums[j] = acc;
-            ws.tails[j] = v;
-          });
+      cursors([&](std::size_t) { return Op::identity(); },
+              [&](index_t, const auto& w, value_t& acc) {
+                acc = op(acc, hot_value(w));
+              },
+              [&](index_t j, index_t v, value_t acc) {
+                ws.sums[j] = acc;
+                ws.tails[j] = v;
+              });
   } else {
     legacy_sublists([&](std::size_t j) {
       index_t v = ws.heads[j];
@@ -785,21 +787,20 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: order the sublists by chaining tail -> successor head (a
-  // serial O(k) pointer-chase; the head-ownership table is
-  // epoch-stamped, so no O(n) refill), then exclusive-scan their sums in
-  // that order. Large sublist counts scan blocked across the workers:
-  // contiguous prefixes of the order reduce in parallel, a serial pass
-  // turns the block sums into block offsets, and the workers expand
-  // their blocks -- combine order is preserved throughout, so
-  // associativity alone (no commutativity) keeps the non-commutative
-  // operators bit-exact. On the packed path successor links come from
-  // the SLAB, never the live list: a cache-hit run then reads only the
-  // self-consistent snapshot taken at build time, so a caller mutating
-  // the list between the runs of a batch (e.g. after an earlier future
-  // resolved) gets the coherent as-of-build answer instead of a
-  // stale/live mix.
+  // serial O(k) pointer-chase through the O(k) head-ownership table),
+  // then exclusive-scan their sums in that order. Large sublist counts
+  // scan blocked across the workers: contiguous prefixes of the order
+  // reduce in parallel, a serial pass turns the block sums into block
+  // offsets, and the workers expand their blocks -- combine order is
+  // preserved throughout, so associativity alone (no commutativity)
+  // keeps the non-commutative operators bit-exact. On the packed path
+  // successor links come from the SLAB, never the live list: a cache-hit
+  // run then reads only the self-consistent snapshot taken at build
+  // time, so a caller mutating the list between the runs of a batch
+  // (e.g. after an earlier future resolved) gets the coherent as-of-build
+  // answer instead of a stale/live mix.
   const auto t_phase2 = Clock::now();
-  ws.owner_begin(n);
+  ws.owner_begin(k);
   for (std::size_t j = 0; j < k; ++j)
     ws.owner_set(heads[j], static_cast<index_t>(j));
   ws.fit_uninit(ws.order, k);
@@ -809,7 +810,9 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     for (std::size_t seen = 0; seen < k; ++seen) {
       ws.order.push_back(static_cast<index_t>(j));
       const index_t t = ws.tails[j];
-      const index_t nt = packed ? hot_link(words[t]) : list.next[t];
+      const index_t nt = !packed ? list.next[t]
+                         : wide  ? hot_link(records[t])
+                                 : hot_link(words[t]);
       if (nt == t) break;  // the global tail ends the chain
       const index_t owner = ws.owner_get(nt);
       if (owner == kNoVertex) break;  // defensive: malformed snapshot
@@ -861,7 +864,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     value_t* o = out.data();
     bool vectored = false;
 #if LR90_SIMD_GATHER_COMPILED
-    if constexpr (kOnes || kOpLane32<Op>) {
+    if constexpr (kLane) {
       if (simd) {
         simd_gather_sublists<Op, /*kPhase3=*/true>(
             words, heads, k, threads, W, nullptr, nullptr,
@@ -871,14 +874,12 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     }
 #endif
     if (!vectored)
-      interleave_sublists(
-          words, heads, k, threads, W,
-          [&](std::size_t j) { return ws.headscan[j]; },
-          [&](index_t v, packed_t w, value_t& acc) {
-            o[v] = acc;
-            acc = op(acc, hot_value(w));
-          },
-          [](index_t, index_t, value_t) {});
+      cursors([&](std::size_t j) { return ws.headscan[j]; },
+              [&](index_t v, const auto& w, value_t& acc) {
+                o[v] = acc;
+                acc = op(acc, hot_value(w));
+              },
+              [](index_t, index_t, value_t) {});
   } else {
     legacy_sublists([&](std::size_t j) {
       index_t v = ws.heads[j];
@@ -896,11 +897,12 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   info.interleave = packed ? W : 1;
   info.threads = threads;
   info.packed = packed;
+  info.wide = wide;
   info.packed_cached = cache_hit || ext != nullptr;
   info.sublists = k;
-  info.tier = packed ? (simd ? KernelTier::kSimdGather
-                             : KernelTier::kPackedCursors)
-                     : KernelTier::kLegacy;
+  info.tier = !packed ? KernelTier::kLegacy
+              : simd  ? KernelTier::kSimdGather
+                      : KernelTier::kPackedCursors;
   return info;
 }
 

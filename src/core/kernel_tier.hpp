@@ -13,14 +13,15 @@ namespace lr90 {
 /// legacy, host_packed bool, lane-capability fallback" contract that used
 /// to be scattered across Engine/Planner/RunStats. The Planner resolves
 /// kAuto per run; Planner::Decision::tier and RunStats::kernel_tier
-/// report what was planned and what actually ran (a run can downgrade: a
-/// value missing the 32-bit lane drops kPackedCursors/kSimdGather to
-/// kLegacy, and kSimdGather drops to kPackedCursors on CPUs without
-/// usable AVX2 -- typed fallbacks, never a wrong answer).
+/// report what was planned and what actually ran (a run can downgrade:
+/// kSimdGather drops to kPackedCursors on CPUs without usable AVX2 and
+/// whenever the slab holds 16-byte wide records -- a 64-bit operator, or
+/// a value missing the 32-bit lane -- typed fallbacks, never a wrong
+/// answer).
 enum class KernelTier {
   kAuto,           ///< Planner's pick from the cost model + CPUID
   kLegacy,         ///< unpacked single-cursor kernels (the seed behaviour)
-  kPackedCursors,  ///< packed slab + W scalar prefetching cursors (PR 4/5)
+  kPackedCursors,  ///< packed slab (either width) + W prefetching cursors
   kSimdGather,     ///< packed slab + AVX2 vector gather (VL=64's literal analog)
 };
 

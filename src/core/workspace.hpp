@@ -9,18 +9,21 @@
 //
 // Two hot-path refinements live here as well:
 //
-//  * the packed slab -- the host kernels' single-gather representation
-//    (lists/encode.hpp hot_pack): one 64-bit word per vertex fusing link,
-//    value lane, and sublist-tail flag. Building it is one sequential O(n)
-//    pass; the slab is cached under a content key so a batch of runs over
-//    the same list (the serving layer's collapsed hot-key traffic) builds
-//    it once. The cache is only trusted inside an Engine batch, where the
-//    caller's thread is blocked inside run_batch and cannot mutate the
-//    list behind the key's pointers.
-//  * the epoch-stamped head-ownership table -- phase 2 needs owner_of_head
-//    only at the k sublist heads, so refilling an O(n) array per run was
-//    pure waste; a per-run epoch stamp makes stale entries invisible and
-//    the per-run cost O(k).
+//  * the slab buffer -- the host kernels' single-gather representation
+//    (lists/encode.hpp): one 8-byte hot word per vertex (hot_pack: link,
+//    32-bit value lane, sublist-tail flag) or, for values that need all
+//    64 bits, one 16-byte wide record (HotWide). ONE buffer serves both
+//    widths, so a workspace that runs both holds the larger slab, never
+//    the sum. Building it is one sequential O(n) pass; the slab is cached
+//    under a content key so a batch of runs over the same list (the
+//    serving layer's collapsed hot-key traffic) builds it once. The cache
+//    is only trusted inside an Engine batch, where the caller's thread is
+//    blocked inside run_batch and cannot mutate the list behind the key's
+//    pointers.
+//  * the head-ownership lookup -- phase 2 maps a sublist's successor
+//    vertex to the sublist it heads, for the k sublist heads only, so an
+//    open-addressed table of O(k) slots answers it; nothing n-sized is
+//    filled or held resident for it.
 //
 // The counters make reuse observable: `allocations()` increments whenever a
 // fit must grow a buffer, `reuse_hits()` whenever existing capacity was
@@ -33,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "lists/encode.hpp"
@@ -72,13 +76,11 @@ class Workspace {
   std::vector<index_t> heads;             ///< sublist head vertices
   std::vector<index_t> tails;             ///< sublist tail vertices
   std::vector<index_t> picks;             ///< chosen boundary vertices
-  std::vector<index_t> owner_of_head;     ///< by vertex: owning sublist id
   std::vector<value_t> sums;              ///< per-sublist inclusive sums
   std::vector<value_t> headscan;          ///< per-sublist exclusive scan
   std::vector<index_t> order;             ///< sublist ids in list order (ph 2)
   std::vector<value_t> block_sums;        ///< per-worker phase-2 block sums
   std::vector<value_t> verify;            ///< serial reference (verify_output)
-  std::vector<packed_t> packed;           ///< hot-path single-gather slab
   LinkedList scratch_list;                ///< mutable copy of an input list
 
   /// RNG used for boundary picks; reseeded per run from the engine options
@@ -92,18 +94,18 @@ class Workspace {
         heads(std::move(other.heads)),
         tails(std::move(other.tails)),
         picks(std::move(other.picks)),
-        owner_of_head(std::move(other.owner_of_head)),
         sums(std::move(other.sums)),
         headscan(std::move(other.headscan)),
         order(std::move(other.order)),
         block_sums(std::move(other.block_sums)),
         verify(std::move(other.verify)),
-        packed(std::move(other.packed)),
         scratch_list(std::move(other.scratch_list)),
         rng(other.rng),
         shared_slab_(std::move(other.shared_slab_)),
-        owner_stamp_(std::move(other.owner_stamp_)),
-        owner_epoch_(other.owner_epoch_),
+        owner_slots_(std::move(other.owner_slots_)),
+        owner_mask_(other.owner_mask_),
+        slab_(std::move(other.slab_)),
+        slab_lines_(std::exchange(other.slab_lines_, 0)),
         packed_key_(other.packed_key_),
         packed_live_(other.packed_live_),
         packed_trusted_(other.packed_trusted_),
@@ -116,18 +118,18 @@ class Workspace {
     heads = std::move(other.heads);
     tails = std::move(other.tails);
     picks = std::move(other.picks);
-    owner_of_head = std::move(other.owner_of_head);
     sums = std::move(other.sums);
     headscan = std::move(other.headscan);
     order = std::move(other.order);
     block_sums = std::move(other.block_sums);
     verify = std::move(other.verify);
-    packed = std::move(other.packed);
     scratch_list = std::move(other.scratch_list);
     rng = other.rng;
     shared_slab_ = std::move(other.shared_slab_);
-    owner_stamp_ = std::move(other.owner_stamp_);
-    owner_epoch_ = other.owner_epoch_;
+    owner_slots_ = std::move(other.owner_slots_);
+    owner_mask_ = other.owner_mask_;
+    slab_ = std::move(other.slab_);
+    slab_lines_ = std::exchange(other.slab_lines_, 0);
     packed_key_ = other.packed_key_;
     packed_live_ = other.packed_live_;
     packed_trusted_ = other.packed_trusted_;
@@ -180,28 +182,56 @@ class Workspace {
     return v;
   }
 
-  // -- epoch-stamped head-ownership table --------------------------------
+  // -- head-ownership lookup ----------------------------------------------
 
-  /// Opens a fresh owner_of_head generation over `n` vertices: O(1) after
-  /// the table first grows to n (the epoch bump invalidates every old
-  /// entry), where a full refill would be O(n) per run.
-  void owner_begin(std::size_t n) {
-    note(owner_of_head.capacity() >= n && owner_stamp_.capacity() >= n);
-    if (owner_of_head.size() < n) owner_of_head.resize(n);
-    if (owner_stamp_.size() < n) owner_stamp_.resize(n, 0);
-    if (++owner_epoch_ == 0) {  // wrapped: stamps from 2^32 runs ago could
-      std::fill(owner_stamp_.begin(), owner_stamp_.end(), 0u);  // collide
-      owner_epoch_ = 1;
+  /// Opens a fresh head -> sublist map for `k` sublist heads: an
+  /// open-addressed table of at least 2k slots (power of two), so the
+  /// per-run cost is O(k) however long the list is.
+  void owner_begin(std::size_t k) {
+    std::size_t slots = 16;
+    while (slots < 2 * k) slots *= 2;
+    owner_mask_ = slots - 1;
+    fit(owner_slots_, slots, OwnerSlot{kNoVertex, kNoVertex});
+  }
+  /// Records vertex `v` as the head of sublist `j` (heads are distinct).
+  void owner_set(index_t v, index_t j) {
+    std::size_t s = owner_slot(v);
+    while (owner_slots_[s].head != kNoVertex) s = (s + 1) & owner_mask_;
+    owner_slots_[s] = OwnerSlot{v, j};
+  }
+  /// The sublist headed by `v`, or kNoVertex if `v` heads none.
+  index_t owner_get(index_t v) const {
+    for (std::size_t s = owner_slot(v);; s = (s + 1) & owner_mask_) {
+      const OwnerSlot& e = owner_slots_[s];
+      if (e.head == v || e.head == kNoVertex)
+        return e.head == v ? e.sublist : kNoVertex;
     }
   }
-  /// Records vertex `v` as the head of sublist `j` in the open generation.
-  void owner_set(index_t v, index_t j) {
-    owner_of_head[v] = j;
-    owner_stamp_[v] = owner_epoch_;
+
+  // -- the hot-path slab ---------------------------------------------------
+
+  /// Sizes the slab buffer for `n` records of type Rec (packed_t hot
+  /// words or HotWide records) and returns it, contents unspecified. One
+  /// buffer serves both widths. Growth frees the old buffer before
+  /// allocating -- never both resident at once -- and leaves the new
+  /// pages untouched: the build writes every record, so they fault in
+  /// across its workers instead of behind a serial zero-fill.
+  template <class Rec>
+  Rec* fit_slab(std::size_t n) {
+    const std::size_t lines =
+        (n * sizeof(Rec) + sizeof(SlabLine) - 1) / sizeof(SlabLine);
+    note(slab_lines_ >= lines);
+    if (slab_lines_ < lines) {
+      slab_.reset();
+      slab_.reset(new SlabLine[lines]);
+      slab_lines_ = lines;
+    }
+    return reinterpret_cast<Rec*>(slab_.get());
   }
-  /// The sublist owning head `v`, or kNoVertex if not set this generation.
-  index_t owner_get(index_t v) const {
-    return owner_stamp_[v] == owner_epoch_ ? owner_of_head[v] : kNoVertex;
+  /// The slab buffer viewed as records of type Rec.
+  template <class Rec>
+  const Rec* slab() const {
+    return reinterpret_cast<const Rec*>(slab_.get());
   }
 
   // -- packed-slab cache -------------------------------------------------
@@ -209,8 +239,8 @@ class Workspace {
   /// Identity of a packed slab: which arrays it was built from (by
   /// pointer: the cache is only trusted while the caller is blocked
   /// inside a batch and cannot mutate them), the sublist-boundary inputs
-  /// (count and the RNG state the picks were drawn from), and whether
-  /// values were overridden to ones (ranking).
+  /// (count and the RNG state the picks were drawn from), whether values
+  /// were overridden to ones (ranking), and the record width.
   struct PackedKey {
     const void* next_data = nullptr;   ///< the list's link array
     const void* value_data = nullptr;  ///< the value array; null when `ones`
@@ -218,10 +248,12 @@ class Workspace {
     index_t head = kNoVertex;          ///< list head vertex
     std::size_t sublists = 0;  ///< boundary count the picks targeted
     bool ones = false;         ///< value lane forced to 1 (ranking)
+    bool wide = false;         ///< HotWide records, not 8-byte hot words
     Rng rng_at_entry{0};       ///< draws repeat iff entry state matches
 
-    /// Field-wise equality: same arrays, same boundary inputs.
-    bool operator==(const PackedKey& o) const {
+    /// Same arrays and boundary inputs: the slab holds the same vertices
+    /// under the same decomposition, whatever its record width.
+    bool same_source(const PackedKey& o) const {
       return next_data == o.next_data && value_data == o.value_data &&
              n == o.n && head == o.head && sublists == o.sublists &&
              ones == o.ones && rng_at_entry == o.rng_at_entry;
@@ -229,14 +261,20 @@ class Workspace {
   };
 
   /// True iff the cached slab (and the ws.heads it was built with) was
-  /// built under exactly `key` -- and the cache is currently trusted.
-  /// Trust is granted only by Engine::run_batch (see
-  /// set_packed_trusted): the key identifies arrays by pointer, which is
-  /// only sound while the caller is provably unable to mutate them, so a
-  /// direct host_exec caller never hits the cache.
+  /// built from `key`'s source at a width `key` can read -- and the cache
+  /// is currently trusted. A wide run (key.wide) needs wide records; a
+  /// hot-word run reads either width, since a wide record holds the full
+  /// value (packed_wide() says which one is live). Trust is granted only
+  /// by Engine::run_batch (see set_packed_trusted): the key identifies
+  /// arrays by pointer, which is only sound while the caller is provably
+  /// unable to mutate them, so a direct host_exec caller never hits the
+  /// cache.
   bool packed_cache_hit(const PackedKey& key) const {
-    return packed_trusted_ && packed_live_ && packed_key_ == key;
+    return packed_trusted_ && packed_live_ && packed_key_.same_source(key) &&
+           (packed_key_.wide || !key.wide);
   }
+  /// True iff the live slab holds wide records.
+  bool packed_wide() const { return packed_key_.wide; }
   /// Grants (or revokes) cache trust; only an Engine batch scope -- where
   /// the caller's thread is blocked and cannot mutate the keyed arrays --
   /// may grant it.
@@ -268,17 +306,19 @@ class Workspace {
   /// The installed shared slab, or null. Read by the hot path per run.
   const PackedSlab* shared_slab() const { return shared_slab_.get(); }
   /// Copies the live packed slab + heads out as an immutable PackedSlab
-  /// for a cross-request cache, or returns null when no slab is live.
-  /// Copies -- rather than moves -- so the workspace keeps its warmed
-  /// capacity and steady state stays allocation-free.
+  /// for a cross-request cache, or returns null when no hot-word slab is
+  /// live (wide slabs are not exported). Copies -- rather than moves -- so
+  /// the workspace keeps its warmed capacity and steady state stays
+  /// allocation-free.
   std::shared_ptr<const PackedSlab> export_packed_slab(bool ones) const {
-    if (!packed_live_) return nullptr;
-    auto slab = std::make_shared<PackedSlab>();
-    slab->heads = heads;
-    slab->words = packed;
-    slab->n = packed.size();
-    slab->ones = ones;
-    return slab;
+    if (!packed_live_ || packed_key_.wide) return nullptr;
+    auto out = std::make_shared<PackedSlab>();
+    out->heads = heads;
+    const packed_t* words = slab<packed_t>();
+    out->words.assign(words, words + packed_key_.n);
+    out->n = packed_key_.n;
+    out->ones = ones;
+    return out;
   }
 
   /// Copies `src` into the scratch list, reusing its capacity. Algorithms
@@ -312,17 +352,16 @@ class Workspace {
     heads = {};
     tails = {};
     picks = {};
-    owner_of_head = {};
     sums = {};
     headscan = {};
     order = {};
     block_sums = {};
     verify = {};
-    packed = {};
     scratch_list = {};
     shared_slab_ = nullptr;
-    owner_stamp_ = {};
-    owner_epoch_ = 0;
+    owner_slots_ = {};
+    slab_.reset();
+    slab_lines_ = 0;
     packed_live_ = false;
     packed_trusted_ = false;
   }
@@ -336,10 +375,29 @@ class Workspace {
     }
   }
 
+  /// One slot of the head-ownership table (head == kNoVertex: empty).
+  struct OwnerSlot {
+    index_t head;
+    index_t sublist;
+  };
+  /// The cache line the slab buffer is allocated in (aligned, and left
+  /// uninitialized by new[]).
+  struct alignas(64) SlabLine {
+    unsigned char bytes[64];
+  };
+
+  std::size_t owner_slot(index_t v) const {
+    return static_cast<std::size_t>(
+               (std::uint64_t{v} * 0x9e3779b97f4a7c15ULL) >> 32) &
+           owner_mask_;
+  }
+
   std::shared_ptr<const PackedSlab> shared_slab_;  ///< cross-request slab
-  std::vector<std::uint32_t> owner_stamp_;  ///< owner_of_head generations
-  std::uint32_t owner_epoch_ = 0;           ///< current generation
-  PackedKey packed_key_;                    ///< identity of `packed`
+  std::vector<OwnerSlot> owner_slots_;      ///< head -> sublist, open-addressed
+  std::size_t owner_mask_ = 0;              ///< owner_slots_.size() - 1
+  std::unique_ptr<SlabLine[]> slab_;        ///< the slab buffer
+  std::size_t slab_lines_ = 0;              ///< its capacity in lines
+  PackedKey packed_key_;                    ///< identity of the live slab
   bool packed_live_ = false;                ///< packed_key_ is meaningful
   bool packed_trusted_ = false;             ///< an Engine batch is active
   std::atomic<std::uint64_t> allocations_{0};

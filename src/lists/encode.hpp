@@ -167,6 +167,48 @@ LR90_TARGET_AVX2 inline bool hot_pack_range_simd(
 }
 #endif  // LR90_SIMD_GATHER_COMPILED
 
+// -- the wide hot record ----------------------------------------------------
+//
+// The hot word only has room for a 32-bit value lane. Operators whose
+// values need all 64 bits (seg-sum, affine, max-plus: lists/ops.hpp
+// kOpLane32 is false), and lane-capable scans whose values miss the lane
+// at run time, keep the single gather by widening it instead:
+//
+//   record = { u32 link, u32 tail flag, i64 value }   (16 bytes, aligned)
+//
+// The 16-byte alignment keeps every record inside one cache line, so a hop
+// is still ONE random load -- a 128-bit one -- carrying link, value and
+// stop condition together. Same kernels, same slab buffer, twice the
+// bytes per vertex. The accessors overload hot_link/hot_tail/hot_value so
+// the traversal driver (core/host_exec.hpp interleave_sublists) is one
+// template over both record widths.
+
+/// One vertex of the wide single-gather slab.
+struct alignas(16) HotWide {
+  std::uint32_t link;  ///< successor index
+  std::uint32_t tail;  ///< nonzero iff the vertex ends its sublist
+  value_t value;       ///< the vertex's full 64-bit value
+};
+static_assert(sizeof(HotWide) == 16 && alignof(HotWide) == 16,
+              "a wide record must fill exactly one aligned 16-byte slot");
+
+/// True iff the record's vertex ends its sublist.
+inline constexpr bool hot_tail(const HotWide& r) { return r.tail != 0; }
+/// The record's successor index.
+inline constexpr index_t hot_link(const HotWide& r) { return r.link; }
+/// The record's value, all 64 bits.
+inline constexpr value_t hot_value(const HotWide& r) { return r.value; }
+
+/// Wide-record flavour of hot_pack_range over [begin, end): same
+/// arguments, but every value fits, so it always returns true.
+inline bool hot_pack_range(const index_t* next, const value_t* value,
+                           const std::uint8_t* is_tail, HotWide* out,
+                           std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i)
+    out[i] = HotWide{next[i], is_tail[i], value == nullptr ? 1 : value[i]};
+  return true;
+}
+
 /// True iff every value of `list` fits the 32-bit value lane and n itself
 /// cannot overflow a 32-bit partial rank (the paper's n <= 2^(w/2) bound).
 bool can_encode(const LinkedList& list);

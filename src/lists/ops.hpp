@@ -246,11 +246,14 @@ struct OpMaxPlus {
 // whenever every input fits a signed 32-bit lane: addition accumulates in
 // 64 bits from exact inputs; min/max/xor of sign-extended inputs are
 // themselves sign-extended. The packed two-lane operators (seg-sum,
-// affine, max-plus) need all 64 value bits, so they are typed out of the
-// lane path entirely and take the unpacked fallback kernels.
+// affine, max-plus) need all 64 value bits, so the trait types them onto
+// the 16-byte wide record instead (lists/encode.hpp HotWide): the same
+// packed multi-cursor kernels, one 128-bit load per hop. The trait picks
+// the record width, not whether the packed path runs.
 
 /// Compile-time capability: may `Op` read its inputs from a sign-extended
-/// 32-bit value lane? Defaults to false; opt in per operator.
+/// 32-bit value lane (the 8-byte hot word)? Defaults to false -- the wide
+/// record -- opt in per operator.
 template <class Op>
 inline constexpr bool kOpLane32 = false;
 
@@ -315,7 +318,8 @@ constexpr decltype(auto) with_scan_op(ScanOp op, F&& f) {
 /// Runtime face of kOpLane32 -- derived from the trait through the
 /// dispatcher so there is one source of truth: true iff `op`'s inputs may
 /// live in the 32-bit value lane of the host hot-path word (subject to
-/// the per-run value-fit check, host_exec::build_packed).
+/// the per-run value-fit check, host_exec::build_packed, which repacks
+/// into wide records on a miss).
 constexpr bool scan_op_lane32(ScanOp op) {
   return with_scan_op(op, [](auto o) { return kOpLane32<decltype(o)>; });
 }

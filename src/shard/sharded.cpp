@@ -226,9 +226,9 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
         exec.threads,
         std::min<std::size_t>(m / 2,
                               static_cast<std::size_t>(exec.threads) * 64),
-        exec.interleave, 0};
+        exec.interleave};
     host_exec::scan_into<Op, false>(reduced, op, plan2, ws, seg_pref);
-    // The second-level scan may have rebuilt ws.packed for the (local,
+    // The second-level scan may have rebuilt the slab for the (local,
     // about-to-die) reduced list; its batch-cache identity must not
     // survive this call.
     ws.invalidate_packed();

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
@@ -130,6 +131,29 @@ TEST(HotWord, ValueFitsMatchesLaneRoundTrip) {
                      1));
   EXPECT_FALSE(hot_value_fits(std::numeric_limits<value_t>::max()));
   EXPECT_FALSE(hot_value_fits(std::numeric_limits<value_t>::min()));
+}
+
+TEST(HotWide, PackRangeKeepsAllSixtyFourValueBits) {
+  Rng rng(0x1de);
+  const LinkedList l = random_list(257, rng);
+  std::vector<value_t> values(l.size());
+  std::vector<std::uint8_t> tails(l.size());
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    values[i] = static_cast<value_t>(rng.next_u64());  // misses any lane
+    tails[i] = rng.coin() ? 1 : 0;
+  }
+  std::vector<HotWide> out(l.size());
+  EXPECT_TRUE(hot_pack_range(l.next.data(), values.data(), tails.data(),
+                             out.data(), 0, l.size()));
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    ASSERT_EQ(hot_link(out[i]), l.next[i]);
+    ASSERT_EQ(hot_tail(out[i]), tails[i] != 0);
+    ASSERT_EQ(hot_value(out[i]), values[i]);
+  }
+  // Ranking packs the constant 1.
+  EXPECT_TRUE(hot_pack_range(l.next.data(), nullptr, tails.data(),
+                             out.data(), 0, l.size()));
+  for (const HotWide& r : out) ASSERT_EQ(hot_value(r), 1);
 }
 
 TEST(HotWord, CachedTailIsUsedAndGuarded) {

@@ -420,14 +420,15 @@ TEST(Planner, PicksPackedInterleavedForLargeN) {
     const auto d = planner.decide(1u << 20, Method::kAuto, /*rank=*/true);
     EXPECT_EQ(d.method, Method::kReidMiller) << threads << " threads";
     EXPECT_GT(d.interleave, 1u) << threads << " threads";
-    // Lane-capable scans interleave too; 64-bit-value operators get the
-    // legacy kernels (interleave 0).
+    // Lane-capable scans interleave too, and so do the 64-bit-value
+    // operators: their wide records run the scalar cursor family.
     const auto scan =
         planner.decide(1u << 20, Method::kAuto, false, ScanOp::kMin);
     EXPECT_GT(scan.interleave, 1u);
     const auto wide =
         planner.decide(1u << 20, Method::kAuto, false, ScanOp::kAffine);
-    EXPECT_EQ(wide.interleave, 0u);
+    EXPECT_GT(wide.interleave, 1u);
+    EXPECT_EQ(wide.tier, KernelTier::kPackedCursors);
   }
   // Tiny lists still take the serial walk.
   EngineOptions one = backend_options(BackendKind::kHost);
@@ -474,25 +475,31 @@ TEST(Engine, PinnedInterleaveIsHonoured) {
   }
 }
 
-TEST(Engine, WideValuesFallBackToLegacyKernelsNeverWrong) {
-  // Values outside the signed 32-bit lane fail the pack-time fit check;
-  // the run must fall back to the unpacked kernels and stay bit-exact.
+TEST(Engine, WideValuesRepackIntoWideRecordsNeverWrong) {
+  // Values outside the signed 32-bit lane fail the pack-time fit check
+  // of an auto-planned plus scan; the run must repack the same
+  // decomposition into wide records and stay bit-exact on the packed
+  // cursors, never the unpacked kernels.
   Rng rng(23);
-  LinkedList l = random_list(30000, rng, ValueInit::kSigned);
-  l.value[12345] = (value_t{1} << 40) + 7;
+  LinkedList l = random_list(1u << 16, rng, ValueInit::kSigned);
+  l.value[12345] = value_t{1} << 40;
   l.value[777] = std::numeric_limits<value_t>::min() / 4;
   Engine engine(backend_options(BackendKind::kHost));
   const RunResult r = engine.run(OpRequest{&l, ScanOp::kPlus});
   ASSERT_TRUE(r.ok()) << r.status.message;
-  EXPECT_EQ(r.method_used, Method::kReidMiller);
-  EXPECT_FALSE(r.stats.host_packed);
+  ASSERT_EQ(r.method_used, Method::kReidMiller);
+  EXPECT_TRUE(r.stats.host_packed);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
+  EXPECT_GT(r.stats.host_interleave, 1u);
   testutil::expect_scan_eq(r.scan,
                            testutil::expected_scan(l, OpPlus{}));
-  // The same engine still packs the next lane-clean request.
+  // The same engine still packs hot words for the next lane-clean
+  // request.
   const LinkedList clean = random_list(30000, rng);
   const RunResult r2 = engine.rank(clean);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2.stats.host_packed);
+  testutil::expect_scan_eq(r2.scan, reference_rank(clean));
 }
 
 TEST(Engine, FewerSublistsThanCursorsDrainCorrectly) {
@@ -555,6 +562,39 @@ TEST(Engine, BatchCachesThePackedSlabAcrossSameListRuns) {
   ASSERT_TRUE(engine.rank(a).ok());
   ASSERT_TRUE(engine.rank(a).ok());
   EXPECT_EQ(engine.workspace().packed_builds(), builds_after_batch + 5);
+}
+
+TEST(Engine, BatchSlabCacheIsKeyedOnRecordWidth) {
+  // A plus scan and a seg-sum scan of one list agree on every other key
+  // field. The seg-sum run must not read the plus run's 8-byte hot words;
+  // the plus run after it may ride the seg-sum run's wide records, which
+  // hold the full values. Two builds, three bit-exact answers. Pinned
+  // threads and the cursor tier give both operators the same sublist
+  // count, so only the width tells the keys apart.
+  Rng rng(27);
+  const LinkedList l = random_list(40000, rng, ValueInit::kSigned);
+  EngineOptions eo = backend_options(BackendKind::kHost);
+  eo.threads = 2;
+  eo.tier = KernelTier::kPackedCursors;
+  Engine engine(std::move(eo));
+  const std::vector<Request> batch{OpRequest{&l, ScanOp::kPlus},
+                                   OpRequest{&l, ScanOp::kSegSum},
+                                   OpRequest{&l, ScanOp::kPlus}};
+  const auto results = engine.run_batch(batch);
+  ASSERT_EQ(results.size(), 3u);
+  for (const RunResult& r : results) {
+    ASSERT_TRUE(r.ok()) << r.status.message;
+    EXPECT_TRUE(r.stats.host_packed);
+  }
+  testutil::expect_scan_eq(results[0].scan,
+                           testutil::expected_scan(l, OpPlus{}));
+  testutil::expect_scan_eq(results[1].scan,
+                           testutil::expected_scan(l, OpSegSum{}));
+  testutil::expect_scan_eq(results[2].scan,
+                           testutil::expected_scan(l, OpPlus{}));
+  EXPECT_FALSE(results[1].stats.host_packed_cached);
+  EXPECT_TRUE(results[2].stats.host_packed_cached);
+  EXPECT_EQ(engine.workspace().packed_builds(), 2u);
 }
 
 TEST(Engine, PinnedS1SurvivesAutoM) {

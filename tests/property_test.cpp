@@ -244,10 +244,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // The packed multi-cursor hot path: every forced interleave width
 // (including the degenerate W=1), every generator shape and size class,
-// every operator -- bit-exact against the serial oracle. Lane-capable
-// operators run the packed single-gather kernels; the 64-bit-value
-// operators must transparently take the legacy kernels under the same
-// forced plan, never a wrong answer.
+// every operator -- bit-exact against the serial oracle. Every operator
+// runs the packed single-gather kernels at the forced width: lane-capable
+// operators over 8-byte hot words, the 64-bit-value operators over
+// 16-byte wide records.
 // ---------------------------------------------------------------------
 
 class HostInterleaveHarness : public ::testing::TestWithParam<unsigned> {};
@@ -276,11 +276,10 @@ TEST_P(HostInterleaveHarness, AllWidthsMatchSerialOracle) {
         ASSERT_TRUE(r.ok()) << r.status.message;
         testutil::expect_scan_eq(r.scan, oracle_scan(l, op));
         if (r.method_used == Method::kReidMiller) {
-          // Lane-capable operators must actually take the packed path at
-          // the forced width; the two-lane operators must not.
-          EXPECT_EQ(r.stats.host_packed, scan_op_lane32(op));
-          if (r.stats.host_packed)
-            EXPECT_EQ(r.stats.host_interleave, width);
+          // Every operator must actually take the packed path at the
+          // forced width, whatever its record width.
+          EXPECT_TRUE(r.stats.host_packed);
+          EXPECT_EQ(r.stats.host_interleave, width);
         }
 
         const RunResult rank = engine.rank(l);
@@ -300,7 +299,9 @@ INSTANTIATE_TEST_SUITE_P(Widths, HostInterleaveHarness,
 // rank -- bit-exact against the serial oracle. Lane-capable operators
 // must report the tier that can actually run here (kSimdGather on a
 // gather-capable CPU, the kPackedCursors downgrade otherwise); the
-// two-lane operators must land on kLegacy under the same forced plan.
+// two-lane operators must land on kPackedCursors under the same forced
+// plan, since the gather tier only loads 8-byte hot words and their wide
+// records run the scalar cursors.
 // Method::kReidMiller is requested explicitly so the sublist kernels run
 // even at sizes the auto planner would hand to the serial walk.
 // ---------------------------------------------------------------------
@@ -338,10 +339,10 @@ TEST_P(SimdTierHarness, ForcedSimdMatchesSerialOracle) {
         if (n >= 4) {
           // The sublist kernels ran (want = min(sublists, n/2) >= 2):
           // lane-capable operators must report the gather tier (or its
-          // CPU downgrade), two-lane operators the typed kLegacy
-          // fallback.
-          EXPECT_EQ(r.stats.kernel_tier,
-                    scan_op_lane32(op) ? packed_tier : KernelTier::kLegacy);
+          // CPU downgrade), two-lane operators the wide-record cursors.
+          EXPECT_EQ(r.stats.kernel_tier, scan_op_lane32(op)
+                                             ? packed_tier
+                                             : KernelTier::kPackedCursors);
           if (r.stats.kernel_tier == KernelTier::kSimdGather)
             EXPECT_EQ(r.stats.host_interleave % 4, 0u)
                 << "SIMD cursors run in whole groups of 4 lanes";
@@ -433,8 +434,8 @@ TEST_P(HostThreadsHarness, AllThreadCountsMatchSerialOracle) {
         SCOPED_TRACE(repro.str());
         const std::vector<value_t> want = oracle_scan(l, op);
 
-        // Direct kernel, exact worker count (packed when the operator's
-        // values fit the 32-bit lane, the legacy kernels otherwise).
+        // Direct kernel, exact worker count (8-byte hot words when the
+        // operator's values fit the 32-bit lane, wide records otherwise).
         {
           host_exec::HostPlan plan;
           plan.threads = threads;
@@ -472,6 +473,65 @@ INSTANTIATE_TEST_SUITE_P(
     ThreadsTimesWidths, HostThreadsHarness,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(1u, 4u, 16u)));
+
+// ---------------------------------------------------------------------
+// The wide record: every operator whose values miss the 32-bit lane --
+// the three 64-bit operators always, the lane-capable ones when a value
+// is pushed past the lane -- runs the packed cursors over 16-byte
+// records at exactly T workers and W cursors, bit-exact against the
+// serial oracle, with no fallback to the unpacked kernels.
+// ---------------------------------------------------------------------
+
+class WideRecordHarness : public ::testing::TestWithParam<ThreadsWidth> {};
+
+TEST_P(WideRecordHarness, WideOperatorsAndLaneOverflowRunPackedCursors) {
+  const auto [threads, width] = GetParam();
+  for (const ScanOp op : kAllScanOps) {
+    for (const Shape shape : kAllShapes) {
+      for (const std::size_t n :
+           {std::size_t{4}, std::size_t{97}, std::size_t{4096}}) {
+        const std::uint64_t seed = case_seed(shape, n, op) ^ 0x31de;
+        Rng rng(seed);
+        LinkedList l = make_shape(shape, n, ValueInit::kSigned, rng);
+        for (value_t& v : l.value) v = harness_value(op, v);
+        if (scan_op_lane32(op))
+          for (std::size_t i = 0; i < n; i += 31)
+            l.value[i] += value_t{1} << 40;  // miss the lane: repack wide
+
+        std::ostringstream repro;
+        repro << "repro: seed=" << seed << " shape=" << static_cast<int>(shape)
+              << " n=" << n << " op=" << scan_op_name(op) << " T=" << threads
+              << " W=" << width;
+        SCOPED_TRACE(repro.str());
+
+        host_exec::HostPlan plan;
+        plan.threads = threads;
+        plan.sublists = 16 * static_cast<std::size_t>(threads) + 64;
+        plan.interleave = width;
+        Workspace ws;
+        ws.rng = Rng(seed);
+        std::vector<value_t> got(n, 0);
+        host_exec::ExecInfo info;
+        with_scan_op(op, [&](auto o) {
+          info = host_exec::scan_into(l, o, plan, ws, std::span<value_t>(got));
+        });
+        testutil::expect_scan_eq(got, oracle_scan(l, op));
+        EXPECT_TRUE(info.packed);
+        EXPECT_TRUE(info.wide);
+        EXPECT_EQ(info.tier, KernelTier::kPackedCursors);
+        EXPECT_EQ(info.interleave, width);
+        EXPECT_EQ(info.threads, threads);
+        // A wide slab is never exported as hot words.
+        EXPECT_EQ(ws.export_packed_slab(false), nullptr);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsTimesWidths, WideRecordHarness,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u),
+                       ::testing::Values(1u, 8u, 32u)));
 
 // ---------------------------------------------------------------------
 // The sharded tier: P shards x every operator x every generator shape,
