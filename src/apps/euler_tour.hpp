@@ -17,7 +17,7 @@
 // the OpenMP host path, the simulated Cray C90, or the serial reference
 // all serve tree workloads (and a serving layer can submit the tour's
 // Rank/ScanRequests through an EngineServer). The engine-less overloads
-// build a throwaway host engine, matching the legacy one-shot behaviour.
+// build a throwaway host engine per call.
 #pragma once
 
 #include <cstdint>

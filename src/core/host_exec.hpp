@@ -1,41 +1,31 @@
 // The host execution kernel: Reid-Miller's three-phase sublist scan on real
 // hardware (OpenMP threads when available), generic over the operator and
-// allocation-free given a warmed-up Workspace.
-//
-// This is the single implementation behind both entry points:
-//   * lr90::Engine with BackendKind::kHost (workspace reused across calls);
-//   * the legacy host_list_scan/host_list_rank shims (one local workspace
-//     per call, core/parallel_host.hpp).
+// allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
+// runs it with a workspace reused across calls; the sharded executor
+// (shard/sharded.cpp) runs it for its second-level scan.
 //
 // Same structure as the paper's algorithm, non-destructively: sublist
 // boundaries live in a bitmap instead of planted self-loops, so the input
 // list stays shared read-only across threads.
 //
-// Three traversal engines (core/kernel_tier.hpp KernelTier) implement
-// phases 1 and 3:
+// Phases 1 and 3 walk one single-gather slab -- the modern-CPU analog of
+// the paper's VL=64 vector gathers -- built once per run (and cached
+// across same-list batch runs). The slab holds one record per vertex in
+// one of two widths (lists/encode.hpp): the 8-byte hot word (hot_pack:
+// link + 32-bit value lane + sublist-tail flag) for ranking and the
+// lane-32 operators, or the 16-byte wide record (HotWide: link, tail
+// flag, full 64-bit value) for seg-sum, affine and max-plus and for any
+// run whose values miss the lane. Either way: one random load per
+// element. Two kernel families (core/kernel_tier.hpp KernelTier) walk it:
 //
-//  * the LEGACY kernels (KernelTier::kLegacy; HostPlan::interleave == 0
-//    under kAuto) -- one cursor per sublist, one dependent load per
-//    element plus a second gather on the value array and a third random
-//    access into the boundary bitmap. This is the seed behaviour, kept as
-//    the differential baseline and for a pinned kLegacy tier; no
-//    operator needs it any more.
-//  * the PACKED multi-cursor kernels (KernelTier::kPackedCursors;
-//    interleave >= 1 under kAuto) -- the modern-CPU analog of the paper's
-//    VL=64 vector gathers. A single-gather slab is built once per run --
-//    and cached across same-list batch runs -- then each worker advances
-//    W independent sublist cursors round-robin with software prefetch on
-//    every next hop. The slab holds one record per vertex in one of two
-//    widths (lists/encode.hpp): the 8-byte hot word (hot_pack: link +
-//    32-bit value lane + sublist-tail flag) for ranking and the lane-32
-//    operators, or the 16-byte wide record (HotWide: link, tail flag,
-//    full 64-bit value) for seg-sum, affine and max-plus and for any run
-//    whose values miss the lane. Either way: one random load per element,
-//    W dependent-load chains in flight per thread -- instead of stalling
-//    a full memory round-trip per element, the core overlaps W of them,
-//    exactly as the C90 overlapped 64 lanes of a vector gather. Cursors
-//    that finish their sublist refill from a shared claim counter; the
-//    last < W sublists drain scalar.
+//  * the PACKED multi-cursor kernels (KernelTier::kPackedCursors) -- each
+//    worker advances W independent sublist cursors round-robin with
+//    software prefetch on every next hop, so the core overlaps W
+//    dependent-load chains instead of stalling a full memory round-trip
+//    per element, exactly as the C90 overlapped 64 lanes of a vector
+//    gather. Cursors that finish their sublist refill from a shared claim
+//    counter; the last < W sublists drain scalar. A plan with
+//    interleave == 0 runs at W = 1.
 //  * the SIMD GATHER kernels (KernelTier::kSimdGather) -- the same W
 //    cursors over the 8-byte hot word only, four lanes at a time through
 //    _mm256_i32gather_epi64:
@@ -47,6 +37,9 @@
 //    __attribute__((target("avx2"))) and selected at RUN TIME via CPUID
 //    (support/cpu_features.hpp); CPUs without usable AVX2 -- or runs with
 //    LR90_FORCE_SCALAR set -- take kPackedCursors instead, bit-exactly.
+//
+// Lists past the slab's 31-bit link bound (n > kHotMaxVertices) and
+// sublist counts below 2 take the serial walk.
 //
 // Every phase scales across worker threads (the paper's Section 5
 // multiprocessor dimension, Fig. 11): the slab build splits into
@@ -80,44 +73,39 @@
 
 namespace lr90::host_exec {
 
-/// Execution shape chosen by the Planner (or the legacy shims).
+/// Execution shape chosen by the Planner.
 struct HostPlan {
   /// Worker threads to use (already resolved; >= 1).
   unsigned threads = 1;
   /// Total sublist count target; < 2 selects the serial fallback.
   std::size_t sublists = 0;
-  /// Cursors in flight per worker on the packed hot path. Under kAuto, 0
-  /// selects the legacy unpacked single-cursor kernels (the seed
-  /// behaviour) and >= 1 the packed single-gather path with `interleave`
-  /// round-robin cursors.
+  /// Cursors in flight per worker (clamped to [1, kMaxInterleave]; 0 runs
+  /// at W = 1).
   unsigned interleave = 0;
-  /// Which kernel family serves phases 1 + 3. kAuto preserves the legacy
-  /// contract (interleave == 0 -> kLegacy, >= 1 -> kPackedCursors) for
-  /// direct callers of this layer; the Planner always resolves it.
-  /// kSimdGather downgrades at run time to kPackedCursors when the CPU
-  /// has no usable AVX2 (or LR90_FORCE_SCALAR is set) or the slab holds
-  /// wide records, and any packed tier downgrades to kLegacy when n
-  /// exceeds kHotMaxVertices -- never a wrong answer.
+  /// Which kernel family serves phases 1 + 3: kSimdGather selects the
+  /// vector tier, every other value the packed cursors. kSimdGather
+  /// downgrades at run time to kPackedCursors when the CPU has no usable
+  /// AVX2 (or LR90_FORCE_SCALAR is set) or the slab holds wide records --
+  /// never a wrong answer.
   KernelTier tier = KernelTier::kAuto;
 };
 
 /// What one scan_into/rank_into call actually executed, for RunResult
 /// stats and benches (cursors-in-flight and thread-scaling reporting).
 struct ExecInfo {
-  /// Cursors in flight per worker: W on the packed path, 1 on the legacy
-  /// kernels and the serial walk, 0 when nothing ran (empty list).
+  /// Cursors in flight per worker: W on the sublist path, 1 on the serial
+  /// walk, 0 when nothing ran (empty list).
   unsigned interleave = 0;
   /// Worker threads the run used: the plan's count on the sublist path, 1
   /// on the serial walk, 0 when nothing ran (empty list).
   unsigned threads = 0;
-  bool packed = false;        ///< the single-gather slab path ran
-  bool wide = false;          ///< ...over 16-byte wide records
-  bool packed_cached = false; ///< ...and the slab came from the batch cache
+  bool wide = false;          ///< the slab held 16-byte wide records
+  bool packed_cached = false; ///< the slab came from a cache or shared slab
   bool phase2_parallel = false;  ///< phase 2 ran the blocked parallel scan
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
   /// The kernel family that ACTUALLY ran (after every runtime downgrade):
   /// kSimdGather / kPackedCursors for the packed phases (either record
-  /// width), kLegacy for the unpacked kernels and the serial walk, kAuto when nothing ran (empty
+  /// width), kLegacy for the serial walk, kAuto when nothing ran (empty
   /// list).
   KernelTier tier = KernelTier::kAuto;
 
@@ -237,6 +225,13 @@ void serial_scan_into(const LinkedList& list, std::span<value_t> out,
   for_each_in_order(list, [&](index_t v, std::size_t) {
     out[v] = acc;
     acc = op(acc, list.value[v]);
+  });
+}
+
+/// Serial rank: each vertex's position in traversal order.
+inline void serial_rank_into(const LinkedList& list, std::span<value_t> out) {
+  for_each_in_order(list, [&](index_t v, std::size_t pos) {
+    out[v] = static_cast<value_t>(pos);
   });
 }
 
@@ -599,51 +594,30 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   info.interleave = 1;
   info.threads = 1;
   info.tier = KernelTier::kLegacy;
-  if (n == 1) {
-    out[list.head] = Op::identity();
+  std::size_t want = std::min(plan.sublists, n / 2);
+  // The slab's 31-bit links bound the sublist path; past it (and below
+  // two sublists) the serial walk runs.
+  if (want < 2 || n > kHotMaxVertices) {
+    if constexpr (kOnes)
+      serial_rank_into(list, out);
+    else
+      serial_scan_into(list, out, op);
     return info;
   }
 
-  auto serial_fallback = [&] {
-    if constexpr (kOnes) {
-      for_each_in_order(list, [&](index_t v, std::size_t pos) {
-        out[v] = static_cast<value_t>(pos);
-      });
-    } else {
-      serial_scan_into(list, out, op);
-    }
-    return info;
-  };
-
   // Can the values live in the hot word's 32-bit lane? Ranking packs the
   // constant 1 and lane-capable operators their values; the 64-bit
-  // operators take the wide record.
+  // operators take the wide record -- and so, decided at build time
+  // below, do lane operators whose values miss the lane. The vector tier
+  // needs usable AVX2 (CPUID + LR90_FORCE_SCALAR,
+  // support/cpu_features.hpp) and the 8-byte hot word.
   constexpr bool kLane = kOnes || kOpLane32<Op>;
-  std::size_t want = std::min(plan.sublists, n / 2);
-  // Resolve the kernel tier. kAuto preserves the legacy contract
-  // (interleave >= 1 selects the packed cursors) for direct callers;
-  // then the runtime downgrades apply in order -- kSimdGather needs
-  // usable AVX2 (CPUID + LR90_FORCE_SCALAR, support/cpu_features.hpp)
-  // and the 8-byte hot word, and any packed tier needs the 31-bit link
-  // bound. The packed path pays off even on one thread (W independent
-  // load chains hide latency where the serial walk stalls on every hop);
-  // the legacy kernels need real threads to beat the serial walk.
-  const KernelTier tier =
-      plan.tier != KernelTier::kAuto
-          ? plan.tier
-          : (plan.interleave >= 1 ? KernelTier::kPackedCursors
-                                  : KernelTier::kLegacy);
-  const bool packed = tier != KernelTier::kLegacy && n <= kHotMaxVertices;
-  // The record width: wide for 64-bit operators, and -- decided at build
-  // time below -- for lane operators whose values miss the lane.
-  bool wide = packed && !kLane;
+  bool wide = !kLane;
   bool simd = false;
 #if LR90_SIMD_GATHER_COMPILED
-  simd = packed && kLane && tier == KernelTier::kSimdGather &&
+  simd = kLane && plan.tier == KernelTier::kSimdGather &&
          simd_gather_available();
 #endif
-  if (want < 2 || (!packed && plan.threads <= 1)) return serial_fallback();
-
   const unsigned W = simd ? simd_lane_count(plan.interleave)
                           : std::clamp(plan.interleave, 1u, kMaxInterleave);
   // The vector tier retires a whole group of 4 lanes (draining the
@@ -665,7 +639,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // batch-cache hit below, the RNG is left undrawn -- answers are exact
   // under any sublist decomposition.
   const PackedSlab* ext = nullptr;
-  if (packed && !wide) {
+  if (!wide) {
     const PackedSlab* s = ws.shared_slab();
     if (s && s->n == n && s->ones == kOnes && s->heads.size() == want &&
         !s->words.empty())
@@ -673,7 +647,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   }
   Workspace::PackedKey key;
   bool cache_hit = false;
-  if (packed && !ext) {
+  if (!ext) {
     key.next_data = list.next.data();
     key.value_data = kOnes ? nullptr : list.value.data();
     key.n = n;
@@ -702,23 +676,18 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     ws.heads.clear();
     ws.heads.push_back(list.head);
     for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
-    if (packed) {
-      // A value missing the 32-bit lane repacks the same decomposition
-      // into wide records -- still the packed kernels, never a wrong
-      // answer.
-      if (!wide) wide = !build_packed<packed_t, kOnes>(list, plan.threads,
-                                                        ws, simd);
-      if (wide) build_packed<HotWide, kOnes>(list, plan.threads, ws);
-      key.wide = wide;
-      ws.packed_cache_store(key);
-    } else {
-      ws.invalidate_packed();  // the legacy kernels clobbered ws.heads
-    }
+    // A value missing the 32-bit lane repacks the same decomposition into
+    // wide records -- still the packed kernels, never a wrong answer.
+    if (!wide)
+      wide = !build_packed<packed_t, kOnes>(list, plan.threads, ws, simd);
+    if (wide) build_packed<HotWide, kOnes>(list, plan.threads, ws);
+    key.wide = wide;
+    ws.packed_cache_store(key);
   }
   if (wide) simd = false;
-  // Slab pointers for the packed phases: the shared slab when installed,
-  // the workspace's own otherwise. Resolved after the build section --
-  // ws.heads and the slab buffer may have reallocated during it.
+  // Slab pointers: the shared slab when installed, the workspace's own
+  // otherwise. Resolved after the build section -- ws.heads and the slab
+  // buffer may have reallocated during it.
   const packed_t* words = ext ? ext->words.data() : ws.slab<packed_t>();
   const HotWide* records = ws.slab<HotWide>();
   const index_t* heads = ext ? ext->heads.data() : ws.heads.data();
@@ -726,18 +695,6 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   info.build_ns = (ext || cache_hit) ? 0.0 : since_ns(t_build);
   const unsigned threads = plan.threads;
 
-  // The legacy kernels walk sublists claimed in chunks from a shared
-  // counter -- the unpacked counterpart of the multi-cursor refill, and
-  // the same dynamic balance the old OpenMP schedule(dynamic, 8) gave.
-  constexpr std::size_t kLegacyChunk = 8;
-  const auto legacy_sublists = [&](auto&& body) {
-    claim_blocks(threads, (k + kLegacyChunk - 1) / kLegacyChunk,
-                 [&](std::size_t c) {
-                   const std::size_t j0 = c * kLegacyChunk;
-                   const std::size_t j1 = std::min(k, j0 + kLegacyChunk);
-                   for (std::size_t j = j0; j < j1; ++j) body(j);
-                 });
-  };
   // Runs the cursor driver over whichever record width the slab holds.
   const auto cursors = [&](auto init, auto step, auto finish) {
     if (wide)
@@ -750,40 +707,23 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   const auto t_phase1 = Clock::now();
   ws.fit(ws.sums, k, Op::identity());
   ws.fit(ws.tails, k, kNoVertex);
-  if (packed) {
-    bool vectored = false;
 #if LR90_SIMD_GATHER_COMPILED
-    if constexpr (kLane) {
-      if (simd) {
-        simd_gather_sublists<Op, /*kPhase3=*/false>(
-            words, heads, k, threads, W, ws.sums.data(), ws.tails.data(),
-            nullptr, nullptr, op);
-        vectored = true;
-      }
-    }
-#endif
-    if (!vectored)
-      cursors([&](std::size_t) { return Op::identity(); },
-              [&](index_t, const auto& w, value_t& acc) {
-                acc = op(acc, hot_value(w));
-              },
-              [&](index_t j, index_t v, value_t acc) {
-                ws.sums[j] = acc;
-                ws.tails[j] = v;
-              });
-  } else {
-    legacy_sublists([&](std::size_t j) {
-      index_t v = ws.heads[j];
-      value_t acc = Op::identity();
-      while (true) {
-        acc = op(acc, kOnes ? value_t{1} : list.value[v]);
-        if (ws.is_tail[v]) break;
-        v = list.next[v];
-      }
-      ws.sums[j] = acc;
-      ws.tails[j] = v;
-    });
+  if constexpr (kLane) {
+    if (simd)
+      simd_gather_sublists<Op, /*kPhase3=*/false>(
+          words, heads, k, threads, W, ws.sums.data(), ws.tails.data(),
+          nullptr, nullptr, op);
   }
+#endif
+  if (!simd)
+    cursors([&](std::size_t) { return Op::identity(); },
+            [&](index_t, const auto& w, value_t& acc) {
+              acc = op(acc, hot_value(w));
+            },
+            [&](index_t j, index_t v, value_t acc) {
+              ws.sums[j] = acc;
+              ws.tails[j] = v;
+            });
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: order the sublists by chaining tail -> successor head (a
@@ -793,12 +733,12 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // reduce in parallel, a serial pass turns the block sums into block
   // offsets, and the workers expand their blocks -- combine order is
   // preserved throughout, so associativity alone (no commutativity)
-  // keeps the non-commutative operators bit-exact. On the packed path
-  // successor links come from the SLAB, never the live list: a cache-hit
-  // run then reads only the self-consistent snapshot taken at build
-  // time, so a caller mutating the list between the runs of a batch
-  // (e.g. after an earlier future resolved) gets the coherent as-of-build
-  // answer instead of a stale/live mix.
+  // keeps the non-commutative operators bit-exact. Successor links come
+  // from the SLAB, never the live list: a cache-hit run then reads only
+  // the self-consistent snapshot taken at build time, so a caller
+  // mutating the list between the runs of a batch (e.g. after an earlier
+  // future resolved) gets the coherent as-of-build answer instead of a
+  // stale/live mix.
   const auto t_phase2 = Clock::now();
   ws.owner_begin(k);
   for (std::size_t j = 0; j < k; ++j)
@@ -810,9 +750,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     for (std::size_t seen = 0; seen < k; ++seen) {
       ws.order.push_back(static_cast<index_t>(j));
       const index_t t = ws.tails[j];
-      const index_t nt = !packed ? list.next[t]
-                         : wide  ? hot_link(records[t])
-                                 : hot_link(words[t]);
+      const index_t nt = wide ? hot_link(records[t]) : hot_link(words[t]);
       if (nt == t) break;  // the global tail ends the chain
       const index_t owner = ws.owner_get(nt);
       if (owner == kNoVertex) break;  // defensive: malformed snapshot
@@ -860,56 +798,37 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
 
   // Phase 3: expand each sublist from its head's scan value.
   const auto t_phase3 = Clock::now();
-  if (packed) {
-    value_t* o = out.data();
-    bool vectored = false;
+  value_t* o = out.data();
 #if LR90_SIMD_GATHER_COMPILED
-    if constexpr (kLane) {
-      if (simd) {
-        simd_gather_sublists<Op, /*kPhase3=*/true>(
-            words, heads, k, threads, W, nullptr, nullptr,
-            ws.headscan.data(), o, op);
-        vectored = true;
-      }
-    }
-#endif
-    if (!vectored)
-      cursors([&](std::size_t j) { return ws.headscan[j]; },
-              [&](index_t v, const auto& w, value_t& acc) {
-                o[v] = acc;
-                acc = op(acc, hot_value(w));
-              },
-              [](index_t, index_t, value_t) {});
-  } else {
-    legacy_sublists([&](std::size_t j) {
-      index_t v = ws.heads[j];
-      value_t acc = ws.headscan[j];
-      while (true) {
-        out[v] = acc;
-        acc = op(acc, kOnes ? value_t{1} : list.value[v]);
-        if (ws.is_tail[v]) break;
-        v = list.next[v];
-      }
-    });
+  if constexpr (kLane) {
+    if (simd)
+      simd_gather_sublists<Op, /*kPhase3=*/true>(
+          words, heads, k, threads, W, nullptr, nullptr, ws.headscan.data(),
+          o, op);
   }
+#endif
+  if (!simd)
+    cursors([&](std::size_t j) { return ws.headscan[j]; },
+            [&](index_t v, const auto& w, value_t& acc) {
+              o[v] = acc;
+              acc = op(acc, hot_value(w));
+            },
+            [](index_t, index_t, value_t) {});
   info.phase3_ns = since_ns(t_phase3);
 
-  info.interleave = packed ? W : 1;
+  info.interleave = W;
   info.threads = threads;
-  info.packed = packed;
   info.wide = wide;
   info.packed_cached = cache_hit || ext != nullptr;
   info.sublists = k;
-  info.tier = !packed ? KernelTier::kLegacy
-              : simd  ? KernelTier::kSimdGather
-                      : KernelTier::kPackedCursors;
+  info.tier = simd ? KernelTier::kSimdGather : KernelTier::kPackedCursors;
   return info;
 }
 
 /// Exclusive list rank into `out`: the all-ones scan without ever
-/// materializing a ones copy -- the packed slab's value lane is the
-/// constant 1, the legacy kernels substitute it inline, and the serial
-/// fallback writes positions directly. Correct for any plan.
+/// materializing a ones copy -- the slab's value lane is the constant 1
+/// and the serial fallback writes positions directly. Correct for any
+/// plan.
 inline ExecInfo rank_into(const LinkedList& list, const HostPlan& plan,
                           Workspace& ws, std::span<value_t> out) {
   return scan_into<OpPlus, /*kOnes=*/true>(list, OpPlus{}, plan, ws, out);

@@ -139,7 +139,7 @@ struct ServerStats {
   // empty lists, result-cache hits -- count nowhere): the serving-layer
   // proof that the SIMD dispatcher engaged (or correctly fell back) in
   // production, surfaced as tier_* rows in the wire STATS text.
-  std::uint64_t tier_legacy_runs = 0;  ///< unpacked kernels / serial walk
+  std::uint64_t tier_legacy_runs = 0;  ///< serial walk / shard walks
   std::uint64_t tier_packed_runs = 0;  ///< scalar multi-cursor kernels
   std::uint64_t tier_simd_runs = 0;    ///< AVX2 gather kernels
   PoolStats pool;                ///< aggregated workspace counters

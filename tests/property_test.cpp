@@ -45,10 +45,8 @@ LinkedList make_shape(Shape shape, std::size_t n, ValueInit init, Rng& rng) {
   return {};
 }
 
-// Engine-based replacements for the deprecated sim_list_rank /
-// sim_list_scan / host_list_scan shims: a throwaway engine per call
-// keeps the property bodies one-liners while exercising the supported
-// entry point.
+// One-shot Engine helpers: a throwaway engine per call keeps the
+// property bodies one-liners.
 std::vector<value_t> sim_rank(const LinkedList& l, Method method,
                               unsigned processors = 1,
                               std::uint64_t seed = kDefaultSeed) {
@@ -479,7 +477,7 @@ INSTANTIATE_TEST_SUITE_P(
 // the three 64-bit operators always, the lane-capable ones when a value
 // is pushed past the lane -- runs the packed cursors over 16-byte
 // records at exactly T workers and W cursors, bit-exact against the
-// serial oracle, with no fallback to the unpacked kernels.
+// serial oracle.
 // ---------------------------------------------------------------------
 
 class WideRecordHarness : public ::testing::TestWithParam<ThreadsWidth> {};
@@ -516,7 +514,7 @@ TEST_P(WideRecordHarness, WideOperatorsAndLaneOverflowRunPackedCursors) {
           info = host_exec::scan_into(l, o, plan, ws, std::span<value_t>(got));
         });
         testutil::expect_scan_eq(got, oracle_scan(l, op));
-        EXPECT_TRUE(info.packed);
+        EXPECT_GT(info.sublists, 0u);
         EXPECT_TRUE(info.wide);
         EXPECT_EQ(info.tier, KernelTier::kPackedCursors);
         EXPECT_EQ(info.interleave, width);

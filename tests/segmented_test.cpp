@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+
 #include "lists/transform.hpp"
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
@@ -152,11 +157,29 @@ TEST(RankMany, HandlesEmptyBatchAndEmptyMembers) {
   EXPECT_TRUE(ranks[2].empty());
 }
 
+TEST(RankMany, FailedRunThrows) {
+  // A spill directory nested under a regular file cannot be written: the
+  // strict sharded run fails, and rank_many must say so rather than
+  // return ranks.
+  const std::string file = ::testing::TempDir() + "lr90_rank_many_file";
+  std::ofstream(file) << "x";
+  Rng rng(13);
+  std::vector<LinkedList> lists;
+  lists.push_back(random_list(1000, rng));
+  EngineOptions opt;
+  opt.shard.shards = 2;
+  opt.shard.byte_budget = 1;
+  opt.shard.spill_dir = file + "/spill";
+  opt.shard.degrade = false;  // a failed spill write fails the run
+  EXPECT_THROW(rank_many(lists, opt), std::runtime_error);
+  std::remove(file.c_str());
+}
+
 TEST(RankMany, ManySmallListsThreaded) {
   Rng rng(12);
   std::vector<LinkedList> lists;
   for (int i = 0; i < 50; ++i) lists.push_back(random_list(64, rng));
-  HostOptions opt;
+  EngineOptions opt;
   opt.threads = 4;
   const auto ranks = rank_many(lists, opt);
   for (std::size_t i = 0; i < lists.size(); ++i) {
