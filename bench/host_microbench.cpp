@@ -1,7 +1,7 @@
 // Wall-clock google-benchmark of the host-path implementations: the serial
-// walk, the Engine's OpenMP host backend (workspace reused across
-// iterations), a one-shot Engine per call for comparison, and (for context)
-// the host cost of the simulator itself. Run with --benchmark_filter=...
+// walk, the Engine's host backend (workspace reused across iterations), a
+// one-shot Engine per call for comparison, and (for context) the host
+// cost of the simulator itself. Run with --benchmark_filter=...
 // to narrow.
 #include <benchmark/benchmark.h>
 

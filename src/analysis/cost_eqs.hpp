@@ -118,9 +118,10 @@ struct HostCostConstants {
   double llc_bytes = 30.0 * 1024 * 1024;  ///< beyond here: dram latency
 
   // -- thread-scaling terms (joint (threads x W) planning) ---------------
-  /// Per extra worker per run: team wake-up plus the join barrier (std::
-  /// thread spawn on OpenMP-less builds is the costlier bound; the model
-  /// only has to shed threads for small n, not predict wall time).
+  /// Per extra worker per run: waking a parked helper of the caller's
+  /// persistent team plus the join barrier (a conservative bound: a
+  /// spinning helper starts sooner; the model only has to shed threads
+  /// for small n, not predict wall time).
   double fork_join_ns = 9000.0;
   /// Chip-wide outstanding-miss ceiling: total in-flight random loads the
   /// memory system sustains. threads x W chains hide latency only up to

@@ -1,5 +1,5 @@
 // lr90::Engine -- the entry point of the listrank90 library. One facade
-// serves the simulated Cray C90 and real (OpenMP or std::thread) hardware:
+// serves the simulated Cray C90 and real (std::thread worker team) hardware:
 //
 //   Engine engine({.backend = BackendKind::kHost});
 //   RunResult r = engine.rank(list);            // scan: engine.scan(list)
@@ -7,7 +7,7 @@
 //
 // An Engine owns
 //   * an ExecutionBackend -- SimBackend (wraps vm::Machine), HostBackend
-//     (wraps the OpenMP sublist kernel), or SerialBackend (the degenerate
+//     (wraps the threaded sublist kernel), or SerialBackend (the degenerate
 //     single-walk case);
 //   * a Planner that resolves Method::kAuto per backend by consulting the
 //     paper's cost equations and tuner (analysis/cost_eqs, analysis/tuner)
@@ -49,7 +49,7 @@
 #include "vm/machine.hpp"
 
 /// The listrank90 library: list ranking and list scan after Reid-Miller
-/// (SPAA '94), on a simulated Cray C90 or real OpenMP hardware.
+/// (SPAA '94), on a simulated Cray C90 or real multicore hardware.
 namespace lr90 {
 
 // -- methods ----------------------------------------------------------------
@@ -74,7 +74,7 @@ const char* method_name(Method m);
 enum class BackendKind {
   kSerial,  ///< single serial walk on the host (degenerate reference)
   kSim,     ///< simulated Cray C90 (vm::Machine); reports cycles and ns
-  kHost,    ///< real execution, OpenMP-parallel when available
+  kHost,    ///< real execution over a persistent worker team
 };
 
 /// Short stable name of `k` ("serial", "sim", "host").
@@ -298,8 +298,10 @@ struct EngineOptions {
   unsigned processors = 1;
   /// Host worker threads; 0 = auto: the Planner picks the count jointly
   /// with the packed-path width W from the host cost model, capped at
-  /// the OpenMP (or hardware) thread count. > 0 pins the cap explicitly
-  /// (small runs still shed threads before going serial).
+  /// the hardware thread count (OMP_NUM_THREADS plays no part). > 0 pins
+  /// the cap explicitly (small runs still shed threads before going
+  /// serial). Workers are the calling thread plus helpers of its
+  /// persistent team (host_exec::run_team).
   unsigned threads = 0;
   /// Sublists per thread the host planner targets (more = better balance,
   /// more overhead).
@@ -464,7 +466,7 @@ class ExecutionBackend {
 // -- engine -----------------------------------------------------------------
 
 /// The unified entry point: one facade over the serial / simulated-C90 /
-/// OpenMP-host execution paths. Confined to one thread at a time (the
+/// host execution paths. Confined to one thread at a time (the
 /// Workspace and backend scratch are unsynchronized); for concurrent
 /// traffic, pool engines behind an EngineServer (serve/server.hpp).
 class Engine {

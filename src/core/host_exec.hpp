@@ -1,8 +1,8 @@
 // The host execution kernel: Reid-Miller's three-phase sublist scan on real
-// hardware (OpenMP threads when available), generic over the operator and
-// allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
-// runs it with a workspace reused across calls; the sharded executor
-// (shard/sharded.cpp) runs it for its second-level scan.
+// hardware (a persistent std::thread worker team), generic over the
+// operator and allocation-free given a warmed-up Workspace. lr90::Engine's
+// HostBackend runs it with a workspace reused across calls; the sharded
+// executor (shard/sharded.cpp) runs it for its second-level scan.
 //
 // Same structure as the paper's algorithm, non-destructively: sublist
 // boundaries live in a bitmap instead of planted self-loops, so the input
@@ -46,14 +46,15 @@
 // per-thread ranges, phases 1 and 3 feed each worker its own W-cursor set
 // from the shared claim counter, and phase 2's reduced-list scan runs as
 // a blocked two-pass prefix over operator-splittable prefixes once the
-// sublist count is large enough to pay for it. Workers come from OpenMP
-// when the build has it and plain std::thread otherwise, so OpenMP-less
-// builds (and the TSan job) exercise the same parallel kernels.
+// sublist count is large enough to pay for it. Workers come from one
+// persistent std::thread team per calling thread (run_workers), so the
+// TSan job exercises exactly the substrate every build ships.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -66,10 +67,6 @@
 #include "lists/ops.hpp"
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
-
-#if defined(LISTRANK90_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace lr90::host_exec {
 
@@ -140,27 +137,34 @@ inline constexpr unsigned kMaxThreads = 256;
 inline constexpr std::size_t kPhase2MinParallelSublists = 64;
 
 /// Worker threads actually available for `requested` (0 = library default:
-/// the OpenMP thread count, or the hardware thread count on OpenMP-less
-/// builds, whose kernels fan out over std::thread instead).
+/// the hardware thread count).
 inline unsigned effective_threads(unsigned requested) {
   if (requested > 0) return std::min(requested, kMaxThreads);
-#if defined(LISTRANK90_HAVE_OPENMP)
-  const auto omp = static_cast<unsigned>(std::max(1, omp_get_max_threads()));
-  return std::min(omp, kMaxThreads);
-#else
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? std::min(hw, kMaxThreads) : 1;
-#endif
 }
 
-/// Runs fn() concurrently on `threads` workers and waits for all of them:
-/// the one worker-orchestration primitive every parallel kernel here
-/// uses. OpenMP supplies the (pooled, cheap) team when the build has it;
-/// plain std::thread otherwise -- the same code runs parallel in
-/// OpenMP-less builds, which is also what lets the TSan job see the real
-/// kernels. OpenMP may deliver a smaller team than requested, so workers
-/// must divide their work dynamically (the kernels here claim fixed
-/// blocks from an atomic counter) rather than by worker id.
+/// Runs fn(ctx) on the calling thread and on up to `threads` - 1 helpers
+/// of the caller's persistent worker team, returning once every call has
+/// returned. The team is thread_local: it grows on demand to the largest
+/// count its caller has asked for and is joined when the caller exits.
+/// Between runs a helper spins briefly while the process's team threads
+/// fit the hardware threads, and parks on a condition variable otherwise.
+/// A helper that cannot be created (std::system_error) is done without:
+/// fn then runs fewer than `threads` times. A call made from inside a
+/// running fn runs fn(ctx) once, inline.
+void run_team(unsigned threads, void (*fn)(void*), void* ctx);
+
+/// Helper threads in the calling thread's team (0 before its first
+/// multi-worker run).
+unsigned team_helpers();
+
+/// Runs fn() concurrently on `threads` workers (the caller plus helpers of
+/// its persistent team, see run_team) and waits for all of them: the one
+/// worker-orchestration primitive every parallel kernel here uses. The
+/// team may deliver fewer workers than requested, so workers must divide
+/// their work dynamically (the kernels here claim fixed blocks from an
+/// atomic counter) rather than by worker id.
 template <class Fn>
 void run_workers(unsigned threads, Fn&& fn) {
   threads = std::clamp(threads, 1u, kMaxThreads);
@@ -168,16 +172,10 @@ void run_workers(unsigned threads, Fn&& fn) {
     fn();
     return;
   }
-#if defined(LISTRANK90_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-  fn();
-#else
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back([&fn] { fn(); });
-  fn();
-  for (std::thread& th : pool) th.join();
-#endif
+  using F = std::remove_reference_t<Fn>;
+  run_team(
+      threads, [](void* f) noexcept { (*static_cast<F*>(f))(); },
+      const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }
 
 /// The b-th of `blocks` contiguous balanced ranges over `count` items

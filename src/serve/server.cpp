@@ -39,7 +39,7 @@ EngineServer::EngineServer(ServerOptions opt)
     : opt_([&] {
         opt.workers = resolve_workers(opt.workers);
         if (opt.max_batch == 0) opt.max_batch = 1;
-        // Inter-request parallelism comes from the worker pool; an OpenMP
+        // Inter-request parallelism comes from the worker pool; an
         // all-cores default per pooled engine would oversubscribe the
         // machine workers^2-fold (see ServerOptions::engine).
         if (opt.engine.backend == BackendKind::kHost &&

@@ -53,9 +53,11 @@ struct ServerOptions {
   /// Per-worker engine configuration (backend, threads, verification...).
   /// A host-backend engine left at threads = 0 is resolved to threads = 1:
   /// a server gets its parallelism from the worker pool (one engine per
-  /// worker), and the OpenMP default of all-cores-per-engine would
+  /// worker), and the host default of all-cores-per-engine would
   /// oversubscribe the machine workers^2-fold under load. Set threads
-  /// explicitly for intra-request parallelism on top.
+  /// explicitly for intra-request parallelism on top: each worker then
+  /// keeps its own persistent team of threads - 1 helpers
+  /// (host_exec::run_team).
   EngineOptions engine;
   /// Worker threads (each with its own pooled engine); 0 = one per
   /// hardware thread.

@@ -136,11 +136,6 @@ void stamp_provenance(BenchJson& json) {
 #else
   json.meta("compiler", "unknown");
 #endif
-#if defined(LISTRANK90_HAVE_OPENMP)
-  json.meta("openmp", "on");
-#else
-  json.meta("openmp", "off");
-#endif
   json.meta("hw_threads",
             static_cast<double>(std::thread::hardware_concurrency()));
 }

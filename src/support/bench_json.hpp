@@ -72,7 +72,6 @@ std::string bench_json_path(const char* default_name);
 ///   git_sha      LR90_GIT_SHA or GITHUB_SHA env var, else the SHA CMake
 ///                captured at configure time, else "unknown"
 ///   compiler     compiler id + version the binary was built with
-///   openmp       "on"/"off" (LISTRANK90_HAVE_OPENMP at build time)
 ///   hw_threads   std::thread::hardware_concurrency() at run time
 /// Call once per document, before write().
 void stamp_provenance(BenchJson& json);

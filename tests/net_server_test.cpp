@@ -315,7 +315,36 @@ TEST(NetServer, PlaintextStatsAndHealthForNetcatUsers) {
     std::string text;
     ASSERT_TRUE(client.read_until_eof(text).ok());
     EXPECT_NE(text.find("queue_capacity "), std::string::npos) << text;
-    EXPECT_NE(text.find("net_req_stats "), std::string::npos) << text;
+    // Every ServerStats and NetStats counter has its own row (NetStats
+    // rows carry a net_ prefix).
+    const char* const kServeCounters[] = {
+        "submitted", "rejected", "completed", "batches", "coalesced",
+        "collapsed", "peak_batch", "queue_depth_hwm", "rank_requests",
+        "scan_requests", "intra_threads_peak", "tier_legacy_runs",
+        "tier_packed_runs", "tier_simd_runs", "packed_builds", "slab_hits",
+        "slab_misses", "slab_evictions", "result_hits", "result_misses",
+        "result_evictions", "cache_resident_bytes", "cache_resident_entries",
+        "snapshots_live", "snapshot_updates", "stale_rejections",
+        "sharded_runs", "shard_spills", "shard_prefetch_hits",
+        "shard_corrupt_slabs", "shard_repacks", "shard_degraded",
+        "spill_reclaim_failures", "deadline_expired"};
+    const char* const kNetCounters[] = {
+        "accepted", "closed", "refused_over_cap", "idle_closed",
+        "peer_resets", "protocol_errors", "frames_in", "responses_out",
+        "retry_after_sent", "req_rank", "req_scan", "req_stats",
+        "req_health", "req_snapshot_admin", "req_snapshot_rank",
+        "req_snapshot_scan", "stale_generation_sent", "bytes_in",
+        "bytes_out", "write_timeouts", "partial_frame_aborts",
+        "deadline_exceeded_sent"};
+    const std::string lines = "\n" + text;
+    for (const char* name : kServeCounters)
+      EXPECT_NE(lines.find("\n" + std::string(name) + " "),
+                std::string::npos)
+          << name << " missing from:\n" << text;
+    for (const char* name : kNetCounters)
+      EXPECT_NE(lines.find("\nnet_" + std::string(name) + " "),
+                std::string::npos)
+          << "net_" << name << " missing from:\n" << text;
   }
   {
     // The framed stats request returns the same shape of text.

@@ -18,10 +18,10 @@ by file name). The comparison has three severity classes:
     coverage).
 
 Provenance: every document carries the stamp from lr90::stamp_provenance
-(git_sha, compiler, openmp, hw_threads). When compiler, openmp, or
-hw_threads differ between OLD and NEW the perf numbers are not
-comparable; the default is to refuse (exit 2) so nobody mis-reads a
-hardware change as a regression. --lenient-cross-machine instead skips
+(git_sha, compiler, hw_threads). When compiler or hw_threads differ
+between OLD and NEW the perf numbers are not comparable; the default is
+to refuse (exit 2) so nobody mis-reads a hardware change as a
+regression. --lenient-cross-machine instead skips
 the measurement comparison with a notice but still enforces the
 correctness fields, which is how CI checks runner output against the
 dev-machine trajectory.
@@ -50,7 +50,7 @@ HIGHER_BETTER_PREFIXES = ("speedup",)
 
 # Provenance metadata that must match for timings to be comparable.
 # git_sha is deliberately NOT here: comparing across commits is the point.
-PROVENANCE_FIELDS = ("compiler", "openmp", "hw_threads")
+PROVENANCE_FIELDS = ("compiler", "hw_threads")
 
 # Execution-shape fields that legitimately follow the hardware (the
 # planner picks cursors/threads from the machine's thread count): checked

@@ -24,7 +24,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "bench_compare.py"
 
-META = {"compiler": "gcc 12.2.0", "openmp": True, "hw_threads": 1}
+META = {"compiler": "gcc 12.2.0", "hw_threads": 1}
 
 
 def doc(bench: str, rows: list[dict]) -> dict:
