@@ -132,18 +132,6 @@ struct HostCostConstants {
   /// Parallel slab-build floor (streaming bandwidth bound): build time
   /// per element cannot drop below this no matter how many workers.
   double build_min_ns = 0.3;
-
-  // -- SIMD gather tier terms (core/host_exec.hpp kSimdGather) -----------
-  /// Per-element vector work of the gather kernels: one lane's share of
-  /// the vpgatherdq issue plus the vectorized combine/advance. Well
-  /// below combine_ns -- four cursors advance per instruction group,
-  /// which is the whole point of the tier.
-  double gather_issue_ns = 0.5;
-  /// Round-robin overhead per extra cursor on the gather path. Charged
-  /// per cursor like bookkeeping_ns but an order of magnitude smaller:
-  /// cursor state lives in vector registers, four to a group, so adding
-  /// cursors mostly adds registers, not branches.
-  double gather_bookkeeping_ns = 0.012;
 };
 
 /// Interpolated random-access latency for a working set of `bytes`.
@@ -163,18 +151,6 @@ double host_packed_ns_per_elem(double n, unsigned W,
 /// outstanding misses; the build scales to its bandwidth floor. Excludes
 /// the per-run fixed and fork/join terms (host_tune_at adds those).
 double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
-                                  const HostCostConstants& k,
-                                  double op_factor = 1.0);
-
-/// The SIMD gather tier's counterpart of host_packed_ns_per_elem_mt:
-/// same latency-hiding shape -- W cursor chains amortize the memory
-/// round-trip until per-element issue work binds -- but with the gather
-/// constants (gather_issue_ns, gather_bookkeeping_ns): the vector
-/// kernels advance four cursors per instruction group, so both the
-/// combine bound and the per-cursor overhead sit well below the scalar
-/// family's. Excludes the per-run fixed and fork/join terms
-/// (host_tune_at adds those).
-double host_gather_ns_per_elem_mt(double n, unsigned threads, unsigned W,
                                   const HostCostConstants& k,
                                   double op_factor = 1.0);
 

@@ -121,25 +121,22 @@ TuneResult tuned_params(double n, bool rank, unsigned p) {
 }
 
 HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
-                            double op_factor, const HostCostConstants& k,
-                            bool simd) {
+                            double op_factor, const HostCostConstants& k) {
   threads = std::max(1u, threads);
   HostTuneResult r;
   r.threads = threads;
   r.interleave = interleave;
-  r.simd = simd;
   r.serial_ns = n * host_serial_ns_per_elem(n, k, op_factor);
-  const double per_elem =
-      simd ? host_gather_ns_per_elem_mt(n, threads, interleave, k, op_factor)
-           : host_packed_ns_per_elem_mt(n, threads, interleave, k, op_factor);
-  r.packed_ns = n * per_elem + k.fixed_run_ns +
+  r.packed_ns = n * host_packed_ns_per_elem_mt(n, threads, interleave, k,
+                                               op_factor) +
+                k.fixed_run_ns +
                 k.fork_join_ns * static_cast<double>(threads - 1);
   return r;
 }
 
 HostTuneResult host_tune(double n, double op_factor, unsigned max_threads,
                          unsigned pinned_threads, unsigned pinned_interleave,
-                         const HostCostConstants& k, TuneTier tier) {
+                         const HostCostConstants& k) {
   max_threads = std::max(1u, max_threads);
   // Thread candidates: the powers of two up to max_threads plus
   // max_threads itself (so e.g. 6 hardware threads consider {1,2,4,6}).
@@ -150,39 +147,20 @@ HostTuneResult host_tune(double n, double op_factor, unsigned max_threads,
     for (unsigned t = 1; t <= max_threads; t *= 2) ts.push_back(t);
     if (ts.back() != max_threads) ts.push_back(max_threads);
   }
-  // Per-family W candidates. The gather family advances cursors four to
-  // a vector lane group, so its widths are multiples of 4 and it can
-  // afford the full 64-cursor cap (bookkeeping is per group, not per
-  // cursor).
-  std::vector<unsigned> scalar_ws, simd_ws;
-  if (pinned_interleave > 0) {
-    scalar_ws.push_back(pinned_interleave);
-    simd_ws.push_back(std::max(4u, (pinned_interleave + 3u) / 4u * 4u));
-  } else {
-    scalar_ws.assign({1u, 2u, 4u, 8u, 16u, 32u});
-    simd_ws.assign({4u, 8u, 16u, 32u, 64u});
-  }
-  const bool want_scalar = tier != TuneTier::kSimdOnly;
-  const bool want_simd = tier != TuneTier::kCursorsOnly;
-  HostTuneResult best =
-      want_scalar
-          ? host_tune_at(n, ts.front(), scalar_ws.front(), op_factor, k,
-                         /*simd=*/false)
-          : host_tune_at(n, ts.front(), simd_ws.front(), op_factor, k,
-                         /*simd=*/true);
-  auto sweep = [&](const std::vector<unsigned>& ws, bool simd) {
-    for (const unsigned t : ts) {
-      for (const unsigned w : ws) {
-        const HostTuneResult cand = host_tune_at(n, t, w, op_factor, k, simd);
-        // Strict improvement keeps the smallest (threads, W) among model
-        // ties: fewer workers and cursors at equal predicted time, and
-        // the scalar family (evaluated first) on an exact tie.
-        if (cand.packed_ns < best.packed_ns) best = cand;
-      }
+  std::vector<unsigned> ws;
+  if (pinned_interleave > 0)
+    ws.push_back(pinned_interleave);
+  else
+    ws.assign({1u, 2u, 4u, 8u, 16u, 32u});
+  HostTuneResult best = host_tune_at(n, ts.front(), ws.front(), op_factor, k);
+  for (const unsigned t : ts) {
+    for (const unsigned w : ws) {
+      const HostTuneResult cand = host_tune_at(n, t, w, op_factor, k);
+      // Strict improvement keeps the smallest (threads, W) among model
+      // ties: fewer workers and cursors at equal predicted time.
+      if (cand.packed_ns < best.packed_ns) best = cand;
     }
-  };
-  if (want_scalar) sweep(scalar_ws, /*simd=*/false);
-  if (want_simd) sweep(simd_ws, /*simd=*/true);
+  }
   return best;
 }
 

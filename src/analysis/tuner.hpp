@@ -63,56 +63,40 @@ TuneResult tuned_params(double n, bool rank, unsigned p = 1);
 
 // -- host hot-path tuning ---------------------------------------------------
 
-/// Which hot-path kernel families the host tuner's grid search may pick
-/// from. The Planner maps the engine's KernelTier request (plus the
-/// CPUID dispatcher's answer) onto this: kAuto on gather-capable
-/// hardware searches both families, forced tiers restrict the axis.
-/// Kept tuner-local so analysis/ stays independent of core/engine.hpp.
-enum class TuneTier {
-  kCursorsOnly,  ///< scalar multi-cursor candidates only
-  kBoth,         ///< cursors and SIMD gather candidates (CPU can gather)
-  kSimdOnly,     ///< SIMD gather candidates only (tier pinned)
-};
-
-/// The host tuner's answer for the packed hot path: kernel family,
-/// worker thread count, and interleave width (the multiprocessor and
+/// The host tuner's answer for the packed hot path: worker thread count
+/// and interleave width (the multiprocessor and
 /// vector-length analogs, paper Sections 5 and 3) plus the model totals
 /// backing the choice, so the Planner can compare the hot path against
 /// the single-cursor serial walk.
 struct HostTuneResult {
   unsigned threads = 1;     ///< worker threads the model picked
   unsigned interleave = 1;  ///< cursors in flight per worker
-  bool simd = false;        ///< the SIMD gather family won the grid
   double packed_ns = 0.0;   ///< model total ns of the hot path (T, W)
   double serial_ns = 0.0;   ///< model total ns of the serial walk
 };
 
-/// The host cost model evaluated at one pinned (threads, W) point of one
-/// kernel family (`simd` selects the gather constants): the hot-path-vs-
-/// serial comparison a Planner makes when the caller fixed the whole
-/// execution shape.
+/// The host cost model evaluated at one pinned (threads, W) point: the
+/// hot-path-vs-serial comparison a Planner makes when the caller fixed
+/// the whole execution shape.
 HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
                             double op_factor = 1.0,
-                            const HostCostConstants& k = {},
-                            bool simd = false);
+                            const HostCostConstants& k = {});
 
-/// Searches the joint (tier x threads x W) grid for a list of length n
-/// by evaluating the host cost model (analysis/cost_eqs.hpp
-/// host_packed_ns_per_elem_mt / host_gather_ns_per_elem_mt) at the
-/// power-of-two thread candidates up to `max_threads` crossed with W in
-/// {1..32} (scalar cursors) and W in {4..64} (SIMD gather, when `tier`
-/// admits it) -- the host counterpart of the paper's Section 4.4
+/// Searches the joint (threads x W) grid for a list of length n by
+/// evaluating the host cost model (analysis/cost_eqs.hpp
+/// host_packed_ns_per_elem_mt) at the power-of-two thread candidates up
+/// to `max_threads` crossed with W in {1..32} -- the host counterpart of
+/// the paper's Section 4.4
 /// (m, S_1) grid, extended to Section 5's processor dimension and the
 /// Section 3 vector-length choice. `pinned_threads` /
 /// `pinned_interleave` (> 0) restrict their axis to that single value,
 /// which is how the Planner re-tunes one knob after a caller fixed the
 /// other. Deterministic, O(candidates); the Planner memoizes the
-/// fully-auto case per (n, op_factor, max_threads, tier).
+/// fully-auto case per (n, op_factor, max_threads).
 HostTuneResult host_tune(double n, double op_factor = 1.0,
                          unsigned max_threads = 1,
                          unsigned pinned_threads = 0,
                          unsigned pinned_interleave = 0,
-                         const HostCostConstants& k = {},
-                         TuneTier tier = TuneTier::kCursorsOnly);
+                         const HostCostConstants& k = {});
 
 }  // namespace lr90

@@ -12,7 +12,6 @@
 #include "lists/encode.hpp"
 #include "lists/validate.hpp"
 #include "shard/sharded.hpp"
-#include "support/cpu_features.hpp"
 
 namespace lr90 {
 
@@ -104,7 +103,6 @@ Planner::Planner(const EngineOptions& opt)
       threads_(opt.threads),
       sublists_per_thread_(std::max(1u, opt.sublists_per_thread)),
       pinned_interleave_(opt.interleave),
-      tier_(opt.tier),
       shard_(opt.shard),
       pinned_m_(opt.reid_miller.m),
       pinned_s1_(opt.reid_miller.s1),
@@ -135,17 +133,14 @@ TuneResult Planner::tuned(double n, bool rank_kernels,
 }
 
 HostTuneResult Planner::host_tuned(double n, double op_factor,
-                                   unsigned max_threads,
-                                   TuneTier tier) const {
-  const std::tuple<double, double, unsigned, int> key{
-      n, op_factor, max_threads, static_cast<int>(tier)};
+                                   unsigned max_threads) const {
+  const std::tuple<double, double, unsigned> key{n, op_factor, max_threads};
   {
     std::lock_guard<std::mutex> lock(memo_->mu);
     auto it = memo_->host_cache.find(key);
     if (it != memo_->host_cache.end()) return it->second;
   }
-  const HostTuneResult r =
-      host_tune(n, op_factor, max_threads, 0, 0, {}, tier);
+  const HostTuneResult r = host_tune(n, op_factor, max_threads);
   std::lock_guard<std::mutex> lock(memo_->mu);
   memo_->host_cache.emplace(key, r);
   return r;
@@ -258,33 +253,15 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
       if (sublist_request) d.method = Method::kSerial;
       return d;
     }
-    // Resolve the requested tier against the record width and CPUID:
-    // which kernel families may the tuner search? The gather tier loads
-    // 8-byte hot words only, so wide records tune the cursor family;
-    // kSimdGather on a gather-incapable CPU (or under LR90_FORCE_SCALAR)
-    // downgrades here, at plan time, to the cursor family -- the same
-    // binary, a different branch. A width pin under kAuto means the
-    // cursor family at exactly that W (the interleave sweep and the pin
-    // tests depend on the literal width); only an explicit kSimdGather
-    // request combines a pin with the vector family.
-    const bool simd_ok =
-        (rank || scan_op_lane32(op)) && simd_gather_available() &&
-        (tier_ == KernelTier::kSimdGather ||
-         (tier_ == KernelTier::kAuto && wpin == 0));
-    const TuneTier tt = !simd_ok ? TuneTier::kCursorsOnly
-                        : tier_ == KernelTier::kSimdGather
-                            ? TuneTier::kSimdOnly
-                            : TuneTier::kBoth;
     const double nd = static_cast<double>(n);
     // The packed-vs-serial choice model. A caller-pinned knob (threads
     // or W) restricts its grid axis to what will actually run; with both
-    // on auto, the memoized joint (tier x threads x W) grid picks the
-    // full execution shape.
+    // on auto, the memoized joint (threads x W) grid picks the full
+    // execution shape.
     const HostTuneResult ht =
         threads_ > 0 || wpin > 0
-            ? host_tune(nd, factor, eff, threads_ > 0 ? useful : 0, wpin, {},
-                        tt)
-            : host_tuned(nd, factor, eff, tt);
+            ? host_tune(nd, factor, eff, threads_ > 0 ? useful : 0, wpin)
+            : host_tuned(nd, factor, eff);
     if (requested == Method::kAuto) {
       // Threads alone justify the sublist kernel; so does the packed
       // multi-cursor path whenever the model beats the serial walk --
@@ -305,16 +282,13 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
       }
       d.sublists = static_cast<double>(d.threads) *
                    static_cast<double>(sublists_per_thread_);
-      // W (and, under TuneTier::kBoth, the family) at the worker count
-      // that will actually run: the choice model already evaluated that
-      // count everywhere except the explicit request above, which
-      // overrode the thread count to eff.
-      const HostTuneResult hw =
-          d.threads == ht.threads
-              ? ht
-              : host_tune(nd, factor, eff, d.threads, wpin, {}, tt);
-      d.interleave = hw.interleave;
-      d.tier = hw.simd ? KernelTier::kSimdGather : KernelTier::kPackedCursors;
+      // W at the worker count that will actually run: the choice model
+      // already evaluated that count everywhere except the explicit
+      // request above, which overrode the thread count to eff.
+      d.interleave = d.threads == ht.threads
+                         ? ht.interleave
+                         : host_tune(nd, factor, eff, d.threads, wpin).interleave;
+      d.tier = KernelTier::kPackedCursors;
     }
     return d;
   }
@@ -422,7 +396,6 @@ class HostBackend final : public ExecutionBackend {
       hp.threads = plan.threads;
       hp.sublists = static_cast<std::size_t>(plan.sublists);
       hp.interleave = plan.interleave;
-      hp.tier = plan.tier;
       // Ranks as the all-ones scan without a ones copy: the slab's value
       // lane is the constant 1.
       if (req.rank) {

@@ -204,15 +204,15 @@ struct RunStats {
   // benches and the serving layer can report cursors-in-flight and
   // intra-request thread scaling.
   unsigned host_interleave = 0;   ///< cursors in flight per worker
-  unsigned host_threads = 0;      ///< worker threads the run actually used
+  /// Worker threads the run actually used: the fewest any of its
+  /// fan-outs ran on (a helper that failed to start is not counted).
+  unsigned host_threads = 0;
   bool host_packed = false;       ///< the single-gather slab ran (either width)
   bool host_packed_cached = false;  ///< slab reused from the batch cache
-  /// The kernel tier that ACTUALLY executed the hot phases (host backend;
-  /// kAuto on the other backends and on runs that never reached the host
-  /// kernels). Reports runtime downgrades the plan could not see: a
-  /// value missing the 32-bit lane repacks into wide records and lands
-  /// on kPackedCursors, and so does a kSimdGather plan on a
-  /// gather-incapable CPU.
+  /// The kernel tier that executed the hot phases (host backend; kAuto on
+  /// the other backends and on runs that never reached the host kernels):
+  /// kPackedCursors over the slab (either record width), kLegacy for a
+  /// plain walk.
   KernelTier kernel_tier = KernelTier::kAuto;
 
   // Per-phase wall clock of the host sublist kernel (zero on the serial
@@ -306,21 +306,14 @@ struct EngineOptions {
   /// Sublists per thread the host planner targets (more = better balance,
   /// more overhead).
   unsigned sublists_per_thread = 64;
-  /// Which host kernel family serves the hot phases: kAuto,
-  /// kPackedCursors or kSimdGather. kAuto lets the Planner pick from the
-  /// cost model and CPUID (the SIMD gather tier is considered only where
-  /// simd_gather_available()); pinning a tier forces that family, subject
-  /// to the typed runtime fallbacks (kSimdGather runs kPackedCursors
-  /// without usable AVX2 and for the wide records of the 64-bit
-  /// operators). kLegacy only reports what ran (RunStats::kernel_tier);
-  /// it selects nothing and plans like kPackedCursors. For the plain walk,
-  /// request Method::kSerial.
+  /// Ignored: one kernel family remains, so every value plans the packed
+  /// cursors (kept for lr90bench). For the plain walk, request
+  /// Method::kSerial.
   KernelTier tier = KernelTier::kAuto;
   /// Cursors in flight per worker on the hot path: 0 = let the Planner
   /// pick from the host cost model (analysis/tuner host_tune); 1..64 pins
   /// the width (the interleave sweep forces every candidate through this
-  /// knob). Under tier == kAuto a pin selects the cursor family at
-  /// exactly that W.
+  /// knob).
   unsigned interleave = 0;
   /// Seed of the per-run RNG reseeding (results are deterministic in it).
   std::uint64_t seed = kDefaultSeed;
@@ -369,9 +362,9 @@ class Planner {
     double sublists = 0.0;  ///< m (sim Reid-Miller) / total target (host)
     double s1 = 0.0;        ///< first balance interval (sim Reid-Miller)
     unsigned threads = 1;   ///< host worker threads (host backend only)
-    /// Host kernel tier planned for the hot phases (never kAuto on the
-    /// host backend; kAuto elsewhere). The kernels may still downgrade
-    /// at run time -- RunStats::kernel_tier reports what actually ran.
+    /// Host kernel tier planned for the hot phases: kPackedCursors for a
+    /// sublist run, kLegacy for a plain walk (never kAuto on the host
+    /// backend; kAuto elsewhere).
     KernelTier tier = KernelTier::kAuto;
     /// Host interleave width W (cursors in flight per worker); 0 on the
     /// serial walk. Set for sublist host runs (every operator, either
@@ -411,15 +404,14 @@ class Planner {
 
  private:
   TuneResult tuned(double n, bool rank_kernels, double op_factor) const;
-  HostTuneResult host_tuned(double n, double op_factor, unsigned max_threads,
-                            TuneTier tier) const;
+  HostTuneResult host_tuned(double n, double op_factor,
+                            unsigned max_threads) const;
 
   BackendKind backend_;
   unsigned processors_;
   unsigned threads_;
   unsigned sublists_per_thread_;
   unsigned pinned_interleave_;  ///< caller-pinned interleave (0 = auto)
-  KernelTier tier_;             ///< caller-requested kernel tier
   ShardOptions shard_;          ///< sharding knobs (host backend only)
   double pinned_m_;   ///< caller-pinned reid_miller.m (<= 0 = auto)
   double pinned_s1_;  ///< caller-pinned reid_miller.s1 (<= 0 = auto)
@@ -436,11 +428,10 @@ class Planner {
     using Key = std::tuple<double, bool, double>;
     std::mutex mu;                        ///< guards both caches
     std::map<Key, TuneResult> cache;      ///< per (n, family, op factor)
-    /// Joint host_tune() results per (n, op factor, max threads, tier
-    /// search mode): the hot-path (tier, threads, W) triple and the
-    /// tiered-vs-serial-walk model totals. Keyed on the tier axis so a
-    /// forced-scalar run and a gather-capable run never share an entry.
-    std::map<std::tuple<double, double, unsigned, int>, HostTuneResult>
+    /// Joint host_tune() results per (n, op factor, max threads): the
+    /// hot-path (threads, W) pair and the packed-vs-serial-walk model
+    /// totals.
+    std::map<std::tuple<double, double, unsigned>, HostTuneResult>
         host_cache;
   };
   std::unique_ptr<TuneMemo> memo_;

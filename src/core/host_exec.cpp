@@ -9,10 +9,6 @@
 
 #include "support/faultpoint.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
 namespace lr90::host_exec {
 
 namespace {
@@ -57,7 +53,7 @@ bool spin_until(microseconds budget, Done done) {
   for (unsigned i = 1;; ++i) {
     if (done()) return true;
 #if defined(__x86_64__) || defined(__i386__)
-    _mm_pause();
+    __builtin_ia32_pause();
 #endif
     if (i % 64 == 0 && std::chrono::steady_clock::now() >= until)
       return done();
@@ -82,7 +78,8 @@ class Team {
 
   unsigned helpers() const { return static_cast<unsigned>(helpers_.size()); }
 
-  void run(unsigned threads, void (*fn)(void*), void* ctx) {
+  /// Returns how many threads ran fn: the caller plus the helpers joined.
+  unsigned run(unsigned threads, void (*fn)(void*), void* ctx) {
     grow(threads - 1);
     const unsigned want = std::min(threads - 1, helpers());
     if (want + 1 != size_) {  // unsigned wrap-around subtracts
@@ -107,6 +104,7 @@ class Team {
       std::unique_lock<std::mutex> lock(mu_);
       done_cv_.wait(lock, done);
     }
+    return want + 1;
   }
 
  private:
@@ -174,12 +172,12 @@ Team& my_team() {
 
 }  // namespace
 
-void run_team(unsigned threads, void (*fn)(void*), void* ctx) {
+unsigned run_team(unsigned threads, void (*fn)(void*), void* ctx) {
   if (threads <= 1 || t_in_team) {
     fn(ctx);
-    return;
+    return 1;
   }
-  my_team().run(std::min(threads, kMaxThreads), fn, ctx);
+  return my_team().run(std::min(threads, kMaxThreads), fn, ctx);
 }
 
 unsigned team_helpers() { return my_team().helpers(); }

@@ -16,27 +16,14 @@
 // lane-32 operators, or the 16-byte wide record (HotWide: link, tail
 // flag, full 64-bit value) for seg-sum, affine and max-plus and for any
 // run whose values miss the lane. Either way: one random load per
-// element. Two kernel families (core/kernel_tier.hpp KernelTier) walk it:
-//
-//  * the PACKED multi-cursor kernels (KernelTier::kPackedCursors) -- each
-//    worker advances W independent sublist cursors round-robin with
-//    software prefetch on every next hop, so the core overlaps W
-//    dependent-load chains instead of stalling a full memory round-trip
-//    per element, exactly as the C90 overlapped 64 lanes of a vector
-//    gather. Cursors that finish their sublist refill from a shared claim
-//    counter; the last < W sublists drain scalar. A plan with
-//    interleave == 0 runs at W = 1.
-//  * the SIMD GATHER kernels (KernelTier::kSimdGather) -- the same W
-//    cursors over the 8-byte hot word only, four lanes at a time through
-//    _mm256_i32gather_epi64:
-//    the hot word already holds link + value + stop flag, so ONE vector
-//    gather fetches four elements' everything, tails fall out of a sign
-//    movemask, and the combine runs vertically in ymm registers. This is
-//    the literal analog of the C90's hardware gather (VL=64 there, 4 x W
-//    overlapping chains here). Compiled into every binary behind
-//    __attribute__((target("avx2"))) and selected at RUN TIME via CPUID
-//    (support/cpu_features.hpp); CPUs without usable AVX2 -- or runs with
-//    LR90_FORCE_SCALAR set -- take kPackedCursors instead, bit-exactly.
+// element. One kernel family walks it, the packed multi-cursor kernels
+// (KernelTier::kPackedCursors): each worker advances W independent sublist
+// cursors round-robin with software prefetch on every next hop, so the
+// core overlaps W dependent-load chains instead of stalling a full memory
+// round-trip per element, exactly as the C90 overlapped the 64 lanes of a
+// vector gather. Cursors that finish their sublist refill from a shared
+// claim counter; the last < W sublists drain with shrinking parallelism.
+// A plan with interleave == 0 runs at W = 1.
 //
 // Lists past the slab's 31-bit link bound (n > kHotMaxVertices) and
 // sublist counts below 2 take the serial walk.
@@ -65,7 +52,6 @@
 #include "lists/encode.hpp"
 #include "lists/linked_list.hpp"
 #include "lists/ops.hpp"
-#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 
 namespace lr90::host_exec {
@@ -79,12 +65,6 @@ struct HostPlan {
   /// Cursors in flight per worker (clamped to [1, kMaxInterleave]; 0 runs
   /// at W = 1).
   unsigned interleave = 0;
-  /// Which kernel family serves phases 1 + 3: kSimdGather selects the
-  /// vector tier, every other value the packed cursors. kSimdGather
-  /// downgrades at run time to kPackedCursors when the CPU has no usable
-  /// AVX2 (or LR90_FORCE_SCALAR is set) or the slab holds wide records --
-  /// never a wrong answer.
-  KernelTier tier = KernelTier::kAuto;
 };
 
 /// What one scan_into/rank_into call actually executed, for RunResult
@@ -93,17 +73,17 @@ struct ExecInfo {
   /// Cursors in flight per worker: W on the sublist path, 1 on the serial
   /// walk, 0 when nothing ran (empty list).
   unsigned interleave = 0;
-  /// Worker threads the run used: the plan's count on the sublist path, 1
-  /// on the serial walk, 0 when nothing ran (empty list).
+  /// Worker threads the run used: on the sublist path the fewest that any
+  /// of its fan-outs actually ran on (a helper that failed to start is
+  /// not counted), 1 on the serial walk, 0 when nothing ran (empty list).
   unsigned threads = 0;
   bool wide = false;          ///< the slab held 16-byte wide records
   bool packed_cached = false; ///< the slab came from a cache or shared slab
   bool phase2_parallel = false;  ///< phase 2 ran the blocked parallel scan
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
-  /// The kernel family that ACTUALLY ran (after every runtime downgrade):
-  /// kSimdGather / kPackedCursors for the packed phases (either record
-  /// width), kLegacy for the serial walk, kAuto when nothing ran (empty
-  /// list).
+  /// The kernel family that ran: kPackedCursors for the packed phases
+  /// (either record width), kLegacy for the serial walk, kAuto when
+  /// nothing ran (empty list).
   KernelTier tier = KernelTier::kAuto;
 
   // Per-phase wall clock, for parallel-efficiency reporting (zero on the
@@ -152,8 +132,8 @@ inline unsigned effective_threads(unsigned requested) {
 /// fit the hardware threads, and parks on a condition variable otherwise.
 /// A helper that cannot be created (std::system_error) is done without:
 /// fn then runs fewer than `threads` times. A call made from inside a
-/// running fn runs fn(ctx) once, inline.
-void run_team(unsigned threads, void (*fn)(void*), void* ctx);
+/// running fn runs fn(ctx) once, inline. Returns how many times fn ran.
+unsigned run_team(unsigned threads, void (*fn)(void*), void* ctx);
 
 /// Helper threads in the calling thread's team (0 before its first
 /// multi-worker run).
@@ -164,16 +144,16 @@ unsigned team_helpers();
 /// worker-orchestration primitive every parallel kernel here uses. The
 /// team may deliver fewer workers than requested, so workers must divide
 /// their work dynamically (the kernels here claim fixed blocks from an
-/// atomic counter) rather than by worker id.
+/// atomic counter) rather than by worker id. Returns how many workers ran.
 template <class Fn>
-void run_workers(unsigned threads, Fn&& fn) {
+unsigned run_workers(unsigned threads, Fn&& fn) {
   threads = std::clamp(threads, 1u, kMaxThreads);
   if (threads == 1) {
     fn();
-    return;
+    return 1;
   }
   using F = std::remove_reference_t<Fn>;
-  run_team(
+  return run_team(
       threads, [](void* f) noexcept { (*static_cast<F*>(f))(); },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }
@@ -193,11 +173,11 @@ inline std::pair<std::size_t, std::size_t> block_range(std::size_t count,
 /// Fans block ids [0, count) out to `threads` workers through a shared
 /// claim counter and calls body(block) for each: the one claim
 /// discipline every parallel kernel here uses (exact coverage whatever
-/// team size run_workers actually delivers).
+/// team size run_workers actually delivers). Returns how many workers ran.
 template <class Body>
-void claim_blocks(unsigned threads, std::size_t count, Body&& body) {
+unsigned claim_blocks(unsigned threads, std::size_t count, Body&& body) {
   std::atomic<std::size_t> next{0};
-  run_workers(threads, [&] {
+  return run_workers(threads, [&] {
     for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
          b < count; b = next.fetch_add(1, std::memory_order_relaxed))
       body(b);
@@ -260,10 +240,11 @@ inline void choose_boundaries(const LinkedList& list, std::size_t count,
 /// ranges (hot_pack_range) claimed from an atomic counter. `kOnes` forces
 /// every value to 1 (ranking). Returns false -- slab contents unspecified
 /// -- iff a hot-word build meets a value that does not round-trip through
-/// the signed 32-bit lane; ranking and wide builds cannot fail.
+/// the signed 32-bit lane; ranking and wide builds cannot fail. Lowers
+/// `ran` to the worker count the build ran on.
 template <class Rec, bool kOnes>
 bool build_packed(const LinkedList& list, unsigned threads, Workspace& ws,
-                  bool simd = false) {
+                  unsigned& ran) {
   const std::size_t n = list.size();
   Rec* out = ws.fit_slab<Rec>(n);
   const index_t* next = list.next.data();
@@ -271,19 +252,11 @@ bool build_packed(const LinkedList& list, unsigned threads, Workspace& ws,
   const std::uint8_t* tail = ws.is_tail.data();
   const std::size_t blocks = std::max<std::size_t>(1, threads);
   std::atomic<bool> ok{true};
-  claim_blocks(threads, blocks, [&](std::size_t b) {
+  ran = std::min(ran, claim_blocks(threads, blocks, [&](std::size_t b) {
     const auto [begin, end] = block_range(n, blocks, b);
-    bool fit = false;
-#if LR90_SIMD_GATHER_COMPILED
-    // Callers pass simd only when simd_gather_available(); the target
-    // function is called, never inlined here, so this stays legal on
-    // non-AVX2 CPUs that never take the branch.
-    if constexpr (std::is_same_v<Rec, packed_t>)
-      if (simd) fit = hot_pack_range_simd(next, val, tail, out, begin, end);
-#endif
-    if (!simd) fit = hot_pack_range(next, val, tail, out, begin, end);
-    if (!fit) ok.store(false, std::memory_order_relaxed);
-  });
+    if (!hot_pack_range(next, val, tail, out, begin, end))
+      ok.store(false, std::memory_order_relaxed);
+  }));
   return ok.load(std::memory_order_relaxed);
 }
 
@@ -295,11 +268,11 @@ bool build_packed(const LinkedList& list, unsigned threads, Workspace& ws,
 /// sublist tail, `finish(sublist, tail_vertex, acc)` runs and the cursor
 /// refills from the shared claim counter (perfect load balance; the final
 /// < W sublists drain with shrinking parallelism). `init(sublist)` seeds
-/// the accumulator.
+/// the accumulator. Returns how many workers ran.
 template <class Rec, class AccInit, class Step, class Finish>
-void interleave_sublists(const Rec* slab, const index_t* heads,
-                         std::size_t k, unsigned threads, unsigned W,
-                         AccInit init, Step step, Finish finish) {
+unsigned interleave_sublists(const Rec* slab, const index_t* heads,
+                             std::size_t k, unsigned threads, unsigned W,
+                             AccInit init, Step step, Finish finish) {
   W = std::clamp(W, 1u, kMaxInterleave);
   std::atomic<std::size_t> next_claim{0};
   auto worker = [&]() {
@@ -346,237 +319,7 @@ void interleave_sublists(const Rec* slab, const index_t* heads,
       }
     }
   };
-  run_workers(threads, worker);
-}
-
-#if LR90_SIMD_GATHER_COMPILED
-
-/// Vertical (per-ymm-lane) combine for the SIMD gather kernels, one
-/// specialization per lane-capable operator. Correct on the hot word's
-/// sign-extended 32-bit value lanes because every vector op below is the
-/// full 64-bit signed operation -- identical to what the scalar kernels
-/// compute through Op::operator().
-template <ListOp Op>
-struct SimdCombine;
-
-template <>
-struct SimdCombine<OpPlus> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    return _mm256_add_epi64(a, b);
-  }
-};
-template <>
-struct SimdCombine<OpXor> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    return _mm256_xor_si256(a, b);
-  }
-};
-template <>
-struct SimdCombine<OpMin> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    // Signed 64-bit min (no _mm256_min_epi64 before AVX-512): where
-    // a > b, take b. blendv picks from b where the mask's sign bit is
-    // set, and cmpgt lanes are all-ones.
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-  }
-};
-template <>
-struct SimdCombine<OpMax> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
-  }
-};
-
-/// One worker of the SIMD gather tier: phases 1 (kPhase3 == false, writes
-/// sums/tails) and 3 (kPhase3 == true, reads headscan, scatters out) over
-/// sublists claimed from the shared counter, W lanes in groups of 4.
-///
-/// Per group-iteration: ONE _mm256_i32gather_epi64 fetches four cursors'
-/// hot words; the tail movemask (bit 63 is the lane's sign bit) splits a
-/// branch-free all-advance fast path from the finish/refill slow path.
-/// Groups whose refill finds the claim counter dry drain their live lanes
-/// scalar and retire (the counter never refills, so the group can't come
-/// back) -- the vector loop only ever sees full groups, and the last
-/// < 4 x groups sublists drain with shrinking parallelism exactly like
-/// the scalar multi-cursor driver.
-///
-/// All intrinsics live in THIS function (and SimdCombine) on purpose:
-/// GCC lambdas do not inherit the target attribute, so the scalar-only
-/// lambdas below may be lambdas but vector code may not.
-template <ListOp Op, bool kPhase3>
-LR90_TARGET_AVX2 void simd_gather_worker(
-    const packed_t* packed, const index_t* heads, std::size_t k, unsigned W,
-    std::atomic<std::size_t>& next_claim, value_t* sums, index_t* tails,
-    const value_t* headscan, value_t* out, Op op) {
-  static_assert(kOpLane32<Op>,
-                "the SIMD gather tier serves lane-capable operators only");
-  // Per-lane cursor state; group g owns lanes [4g, 4g+4). 32-byte
-  // alignment lets the group loads/stores below be the aligned forms.
-  alignas(32) index_t v[kMaxInterleave];
-  alignas(32) value_t acc[kMaxInterleave];
-  index_t own[kMaxInterleave];
-
-  const auto lane_init = [&](std::size_t lane, std::size_t j) {
-    v[lane] = heads[j];
-    own[lane] = static_cast<index_t>(j);
-    acc[lane] = kPhase3 ? headscan[j] : Op::identity();
-    prefetch_ro(&packed[heads[j]]);
-  };
-  // Runs lane to the end of its sublist with the scalar hot-word loop
-  // (same step/finish semantics as the vector path).
-  const auto drain_lane = [&](std::size_t lane) {
-    index_t cv = v[lane];
-    value_t a = acc[lane];
-    while (true) {
-      const packed_t w = packed[cv];
-      prefetch_ro(&packed[hot_link(w)]);
-      if constexpr (kPhase3) out[cv] = a;
-      a = op(a, hot_value(w));
-      if (hot_tail(w)) {
-        if constexpr (!kPhase3) {
-          sums[own[lane]] = a;
-          tails[own[lane]] = cv;
-        }
-        return;
-      }
-      cv = hot_link(w);
-    }
-  };
-
-  std::size_t lanes = 0;
-  while (lanes < W) {
-    const std::size_t j = next_claim.fetch_add(1, std::memory_order_relaxed);
-    if (j >= k) break;
-    lane_init(lanes, j);
-    ++lanes;
-  }
-  // A partial trailing group (claims ran dry mid-fill) drains scalar now,
-  // so the vector loop only ever sees groups of 4 live lanes.
-  std::size_t groups = lanes / 4;
-  for (std::size_t l = groups * 4; l < lanes; ++l) drain_lane(l);
-
-  const auto* base = reinterpret_cast<const long long*>(packed);
-  const __m128i link_mask4 = _mm_set1_epi32(0x7fffffff);
-  // Picks the low 32 bits of each 64-bit lane into the low 128 bits.
-  const __m256i pick_even = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-  alignas(16) index_t link_buf[4];
-  alignas(32) value_t spill[4];
-
-  while (groups > 0) {
-    for (std::size_t g = 0; g < groups;) {
-      index_t* gv = v + g * 4;
-      value_t* gacc = acc + g * 4;
-      const __m128i idx =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(gv));
-      // THE gather: link + value lane + stop flag for four cursors in
-      // one instruction (indices are < 2^31 by the hot-path bound, so
-      // the signed-index interpretation is safe). The masked form with a
-      // zeroed destination matters: vpgatherdq MERGES into its
-      // destination register, so the plain intrinsic makes every gather
-      // depend on the previous iteration's result and serializes the
-      // groups (measured ~2x slower than the scalar cursors, getting
-      // WORSE with more groups). GCC sees through a constant all-ones
-      // mask and drops the dependency-breaking zero again, so both the
-      // source and the mask come from inline asm it cannot fold: the
-      // merge into a register written by a zero idiom outside the
-      // dependency chain lets one gather per live group stay in flight.
-      __m256i gsrc, gmask;
-      asm("vpxor %t0, %t0, %t0" : "=x"(gsrc));
-      asm("vpcmpeqd %t0, %t0, %t0" : "=x"(gmask));
-      const __m256i w =
-          _mm256_mask_i32gather_epi64(gsrc, base, idx, gmask, 8);
-      const __m256i lo = _mm256_permutevar8x32_epi32(w, pick_even);
-      const __m256i vals =
-          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lo));
-      const __m256i hi =
-          _mm256_permutevar8x32_epi32(_mm256_srli_epi64(w, 32), pick_even);
-      const __m128i links =
-          _mm_and_si128(_mm256_castsi256_si128(hi), link_mask4);
-      __m256i accv =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(gacc));
-      if constexpr (kPhase3) {
-        // Scatter out[v] = acc BEFORE the combine (exclusive scan). AVX2
-        // has no scatter, so four scalar stores from the spilled lanes.
-        _mm256_store_si256(reinterpret_cast<__m256i*>(spill), accv);
-        out[gv[0]] = spill[0];
-        out[gv[1]] = spill[1];
-        out[gv[2]] = spill[2];
-        out[gv[3]] = spill[3];
-      }
-      accv = SimdCombine<Op>::combine(accv, vals);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(gacc), accv);
-      const int tmask = _mm256_movemask_pd(_mm256_castsi256_pd(w));
-      if (tmask == 0) {
-        // Fast path: no lane ended, all four advance.
-        _mm_store_si128(reinterpret_cast<__m128i*>(gv), links);
-        prefetch_ro(&packed[gv[0]]);
-        prefetch_ro(&packed[gv[1]]);
-        prefetch_ro(&packed[gv[2]]);
-        prefetch_ro(&packed[gv[3]]);
-        ++g;
-        continue;
-      }
-      // Slow path: finish ended lanes and refill them from the counter.
-      _mm_store_si128(reinterpret_cast<__m128i*>(link_buf), links);
-      bool dry = false;
-      for (int l = 0; l < 4; ++l) {
-        if (!(tmask & (1 << l))) {
-          gv[l] = link_buf[l];
-          prefetch_ro(&packed[gv[l]]);
-          continue;
-        }
-        if constexpr (!kPhase3) {
-          sums[own[g * 4 + l]] = gacc[l];
-          tails[own[g * 4 + l]] = gv[l];
-        }
-        const std::size_t j =
-            next_claim.fetch_add(1, std::memory_order_relaxed);
-        if (j < k) {
-          lane_init(g * 4 + l, j);
-        } else {
-          dry = true;
-          gv[l] = kNoVertex;  // no valid vertex: n <= 2^31 < kNoVertex
-        }
-      }
-      if (!dry) {
-        ++g;
-        continue;
-      }
-      // Claims exhausted: drain this group's live lanes scalar, retire
-      // the group by swapping in the last one.
-      for (int l = 0; l < 4; ++l)
-        if (gv[l] != kNoVertex) drain_lane(g * 4 + l);
-      --groups;
-      for (int l = 0; l < 4; ++l) {
-        v[g * 4 + l] = v[groups * 4 + l];
-        acc[g * 4 + l] = acc[groups * 4 + l];
-        own[g * 4 + l] = own[groups * 4 + l];
-      }
-    }
-  }
-}
-
-/// The SIMD counterpart of interleave_sublists: same claim discipline and
-/// worker fan-out, phases distinguished by kPhase3 (phase 1 writes
-/// sums/tails; phase 3 reads headscan and scatters out).
-template <ListOp Op, bool kPhase3>
-void simd_gather_sublists(const packed_t* packed, const index_t* heads,
-                          std::size_t k, unsigned threads, unsigned W,
-                          value_t* sums, index_t* tails,
-                          const value_t* headscan, value_t* out, Op op) {
-  std::atomic<std::size_t> next_claim{0};
-  run_workers(threads, [&] {
-    simd_gather_worker<Op, kPhase3>(packed, heads, k, W, next_claim, sums,
-                                    tails, headscan, out, op);
-  });
-}
-
-#endif  // LR90_SIMD_GATHER_COMPILED
-
-/// Rounds a cursor budget to the SIMD tier's group shape: multiples of 4
-/// lanes, at least one group, capped at kMaxInterleave.
-inline unsigned simd_lane_count(unsigned W) {
-  return std::min(kMaxInterleave, ((std::max(W, 4u) + 3u) / 4u) * 4u);
+  return run_workers(threads, worker);
 }
 
 /// Exclusive list scan into `out` (sized n) per the plan, reusing `ws`.
@@ -606,30 +349,13 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // Can the values live in the hot word's 32-bit lane? Ranking packs the
   // constant 1 and lane-capable operators their values; the 64-bit
   // operators take the wide record -- and so, decided at build time
-  // below, do lane operators whose values miss the lane. The vector tier
-  // needs usable AVX2 (CPUID + LR90_FORCE_SCALAR,
-  // support/cpu_features.hpp) and the 8-byte hot word.
-  constexpr bool kLane = kOnes || kOpLane32<Op>;
-  bool wide = !kLane;
-  bool simd = false;
-#if LR90_SIMD_GATHER_COMPILED
-  simd = kLane && plan.tier == KernelTier::kSimdGather &&
-         simd_gather_available();
-#endif
-  const unsigned W = simd ? simd_lane_count(plan.interleave)
-                          : std::clamp(plan.interleave, 1u, kMaxInterleave);
-  // The vector tier retires a whole group of 4 lanes (draining the
-  // group's survivors scalar) the moment a refill finds the claim
-  // counter dry, so starvation is a cliff, not a taper: with k close to
-  // W most of the work would run in the one-chain scalar drain. Keep
-  // refills abundant -- at least 16 sublists per lane -- so the drain
-  // tail is bounded by ~1/16 of the elements; phase 2 stays O(k) serial
-  // and cheap at these counts.
-  if (simd)
-    want = std::min(
-        std::max(want, static_cast<std::size_t>(W) *
-                           std::max(1u, plan.threads) * 16),
-        n / 2);
+  // below, do lane operators whose values miss the lane.
+  bool wide = !(kOnes || kOpLane32<Op>);
+  const unsigned W = std::clamp(plan.interleave, 1u, kMaxInterleave);
+  const unsigned threads = plan.threads;
+  // The fewest workers any fan-out below actually ran on (phases 1 and 3
+  // always fan out, so this ends at a count that really ran).
+  unsigned ran = kMaxThreads;
   // A shared (cross-request) slab, installed by the serving layer for
   // immutable snapshot lists, replaces both boundary choice and the slab
   // build outright when its shape matches this run's plan. Shared slabs
@@ -676,13 +402,11 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
     // A value missing the 32-bit lane repacks the same decomposition into
     // wide records -- still the packed kernels, never a wrong answer.
-    if (!wide)
-      wide = !build_packed<packed_t, kOnes>(list, plan.threads, ws, simd);
-    if (wide) build_packed<HotWide, kOnes>(list, plan.threads, ws);
+    if (!wide) wide = !build_packed<packed_t, kOnes>(list, threads, ws, ran);
+    if (wide) build_packed<HotWide, kOnes>(list, threads, ws, ran);
     key.wide = wide;
     ws.packed_cache_store(key);
   }
-  if (wide) simd = false;
   // Slab pointers: the shared slab when installed, the workspace's own
   // otherwise. Resolved after the build section -- ws.heads and the slab
   // buffer may have reallocated during it.
@@ -691,37 +415,28 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   const index_t* heads = ext ? ext->heads.data() : ws.heads.data();
   const std::size_t k = ext ? ext->heads.size() : ws.heads.size();
   info.build_ns = (ext || cache_hit) ? 0.0 : since_ns(t_build);
-  const unsigned threads = plan.threads;
 
   // Runs the cursor driver over whichever record width the slab holds.
   const auto cursors = [&](auto init, auto step, auto finish) {
-    if (wide)
-      interleave_sublists(records, heads, k, threads, W, init, step, finish);
-    else
-      interleave_sublists(words, heads, k, threads, W, init, step, finish);
+    ran = std::min(
+        ran, wide ? interleave_sublists(records, heads, k, threads, W, init,
+                                        step, finish)
+                  : interleave_sublists(words, heads, k, threads, W, init,
+                                        step, finish));
   };
 
   // Phase 1: per-sublist inclusive sums; record each sublist's tail.
   const auto t_phase1 = Clock::now();
   ws.fit(ws.sums, k, Op::identity());
   ws.fit(ws.tails, k, kNoVertex);
-#if LR90_SIMD_GATHER_COMPILED
-  if constexpr (kLane) {
-    if (simd)
-      simd_gather_sublists<Op, /*kPhase3=*/false>(
-          words, heads, k, threads, W, ws.sums.data(), ws.tails.data(),
-          nullptr, nullptr, op);
-  }
-#endif
-  if (!simd)
-    cursors([&](std::size_t) { return Op::identity(); },
-            [&](index_t, const auto& w, value_t& acc) {
-              acc = op(acc, hot_value(w));
-            },
-            [&](index_t j, index_t v, value_t acc) {
-              ws.sums[j] = acc;
-              ws.tails[j] = v;
-            });
+  cursors([&](std::size_t) { return Op::identity(); },
+          [&](index_t, const auto& w, value_t& acc) {
+            acc = op(acc, hot_value(w));
+          },
+          [&](index_t j, index_t v, value_t acc) {
+            ws.sums[j] = acc;
+            ws.tails[j] = v;
+          });
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: order the sublists by chaining tail -> successor head (a
@@ -762,20 +477,20 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     info.phase2_parallel = true;
     const std::size_t blocks = threads;
     ws.fit(ws.block_sums, blocks, Op::identity());
-    claim_blocks(threads, blocks, [&](std::size_t b) {
+    ran = std::min(ran, claim_blocks(threads, blocks, [&](std::size_t b) {
       const auto [begin, end] = block_range(ordered, blocks, b);
       value_t acc = Op::identity();
       for (std::size_t i = begin; i < end; ++i)
         acc = op(acc, ws.sums[ws.order[i]]);
       ws.block_sums[b] = acc;
-    });
+    }));
     value_t acc = Op::identity();  // block sums -> exclusive block offsets
     for (std::size_t b = 0; b < blocks; ++b) {
       const value_t sum = ws.block_sums[b];
       ws.block_sums[b] = acc;
       acc = op(acc, sum);
     }
-    claim_blocks(threads, blocks, [&](std::size_t b) {
+    ran = std::min(ran, claim_blocks(threads, blocks, [&](std::size_t b) {
       const auto [begin, end] = block_range(ordered, blocks, b);
       value_t acc = ws.block_sums[b];
       for (std::size_t i = begin; i < end; ++i) {
@@ -783,7 +498,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
         ws.headscan[j] = acc;
         acc = op(acc, ws.sums[j]);
       }
-    });
+    }));
   } else {
     value_t acc = Op::identity();
     for (std::size_t i = 0; i < ordered; ++i) {
@@ -797,29 +512,20 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // Phase 3: expand each sublist from its head's scan value.
   const auto t_phase3 = Clock::now();
   value_t* o = out.data();
-#if LR90_SIMD_GATHER_COMPILED
-  if constexpr (kLane) {
-    if (simd)
-      simd_gather_sublists<Op, /*kPhase3=*/true>(
-          words, heads, k, threads, W, nullptr, nullptr, ws.headscan.data(),
-          o, op);
-  }
-#endif
-  if (!simd)
-    cursors([&](std::size_t j) { return ws.headscan[j]; },
-            [&](index_t v, const auto& w, value_t& acc) {
-              o[v] = acc;
-              acc = op(acc, hot_value(w));
-            },
-            [](index_t, index_t, value_t) {});
+  cursors([&](std::size_t j) { return ws.headscan[j]; },
+          [&](index_t v, const auto& w, value_t& acc) {
+            o[v] = acc;
+            acc = op(acc, hot_value(w));
+          },
+          [](index_t, index_t, value_t) {});
   info.phase3_ns = since_ns(t_phase3);
 
   info.interleave = W;
-  info.threads = threads;
+  info.threads = ran;
   info.wide = wide;
   info.packed_cached = cache_hit || ext != nullptr;
   info.sublists = k;
-  info.tier = simd ? KernelTier::kSimdGather : KernelTier::kPackedCursors;
+  info.tier = KernelTier::kPackedCursors;
   return info;
 }
 

@@ -8,22 +8,18 @@
 
 namespace lr90 {
 
-/// Which host traversal kernel family serves the hot phases (1 + 3). The
-/// Planner resolves kAuto per run; Planner::Decision::tier and
-/// RunStats::kernel_tier report what was planned and what actually ran (a
-/// run can downgrade: kSimdGather drops to kPackedCursors on CPUs without
-/// usable AVX2 and whenever the slab holds 16-byte wide records -- a
-/// 64-bit operator, or a value missing the 32-bit lane -- typed
-/// fallbacks, never a wrong answer).
+/// How the host walked the list in its hot phases (1 + 3): over the packed
+/// slab with W cursors, or as a plain walk. One kernel family remains, so
+/// this reports what ran (Planner::Decision::tier, RunStats::kernel_tier)
+/// and selects nothing: every EngineOptions::tier pin plans the same.
 enum class KernelTier {
-  kAuto,           ///< Planner's pick from the cost model + CPUID
+  kAuto,  ///< the default; reported when no host kernel ran (empty list)
   /// A plain walk over the list arrays, no slab: the serial walk, or the
-  /// per-shard segment walks of a sharded run. Reported only: as an
-  /// EngineOptions::tier pin it selects nothing (it plans like
-  /// kPackedCursors).
+  /// per-shard segment walks of a sharded run.
   kLegacy,
   kPackedCursors,  ///< packed slab (either width) + W prefetching cursors
-  kSimdGather,     ///< packed slab + AVX2 vector gather (VL=64's literal analog)
+  /// Never produced; a pin plans kPackedCursors. Kept for lr90bench.
+  kSimdGather,
 };
 
 /// Short stable name of `t` ("auto", "legacy", "packed-cursors",

@@ -175,7 +175,6 @@ std::string NetServer::stats_text() const {
       << "intra_threads_peak " << s.intra_threads_peak << '\n'
       << "tier_legacy_runs " << s.tier_legacy_runs << '\n'
       << "tier_packed_runs " << s.tier_packed_runs << '\n'
-      << "tier_simd_runs " << s.tier_simd_runs << '\n'
       << "packed_builds " << s.pool.packed_builds << '\n'
       << "snapshots_live " << s.snapshots_live << '\n'
       << "snapshot_updates " << s.snapshot_updates << '\n'

@@ -353,22 +353,12 @@ void EngineServer::worker_loop() {
                        peak, r.stats.host_threads,
                        std::memory_order_relaxed)) {
             }
-            // Which kernel family actually ran (kAuto = the host kernels
-            // never ran: empty lists, non-host backends) -- the serving
-            // proof the SIMD dispatcher engaged or correctly fell back.
-            switch (r.stats.kernel_tier) {
-              case KernelTier::kLegacy:
-                tier_legacy_runs_.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case KernelTier::kPackedCursors:
-                tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case KernelTier::kSimdGather:
-                tier_simd_runs_.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case KernelTier::kAuto:
-                break;
-            }
+            // How the host walked the list (kAuto = the host kernels
+            // never ran: empty lists, non-host backends).
+            if (r.stats.kernel_tier == KernelTier::kLegacy)
+              tier_legacy_runs_.fetch_add(1, std::memory_order_relaxed);
+            else if (r.stats.kernel_tier == KernelTier::kPackedCursors)
+              tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
             if (r.stats.shard_count > 0) {
               sharded_runs_.fetch_add(1, std::memory_order_relaxed);
               shard_spills_.fetch_add(r.stats.shard_spills,
@@ -466,7 +456,6 @@ void EngineServer::reset_stats() {
   intra_threads_peak_.store(0, std::memory_order_relaxed);
   tier_legacy_runs_.store(0, std::memory_order_relaxed);
   tier_packed_runs_.store(0, std::memory_order_relaxed);
-  tier_simd_runs_.store(0, std::memory_order_relaxed);
   rank_requests_.store(0, std::memory_order_relaxed);
   scan_requests_.store(0, std::memory_order_relaxed);
   snapshot_updates_.store(0, std::memory_order_relaxed);
@@ -500,7 +489,6 @@ ServerStats EngineServer::stats() const {
       intra_threads_peak_.load(std::memory_order_relaxed);
   s.tier_legacy_runs = tier_legacy_runs_.load(std::memory_order_relaxed);
   s.tier_packed_runs = tier_packed_runs_.load(std::memory_order_relaxed);
-  s.tier_simd_runs = tier_simd_runs_.load(std::memory_order_relaxed);
   s.queue_depth_hwm = queue_.size_hwm();
   s.rank_requests = rank_requests_.load(std::memory_order_relaxed);
   s.scan_requests = scan_requests_.load(std::memory_order_relaxed);

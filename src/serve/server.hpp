@@ -136,14 +136,13 @@ struct ServerStats {
   /// intra-request x inter-request parallelism the server actually ran
   /// (bench/serve_throughput reports the product).
   std::uint64_t intra_threads_peak = 0;
-  // Which host kernel family actually served each completed run
+  // How the host walked the list in each completed run
   // (RunStats::kernel_tier; runs that never reached the host kernels --
-  // empty lists, result-cache hits -- count nowhere): the serving-layer
-  // proof that the SIMD dispatcher engaged (or correctly fell back) in
-  // production, surfaced as tier_* rows in the wire STATS text.
+  // empty lists, result-cache hits -- count nowhere), surfaced as tier_*
+  // rows in the wire STATS text.
   std::uint64_t tier_legacy_runs = 0;  ///< serial walk / shard walks
-  std::uint64_t tier_packed_runs = 0;  ///< scalar multi-cursor kernels
-  std::uint64_t tier_simd_runs = 0;    ///< AVX2 gather kernels
+  std::uint64_t tier_packed_runs = 0;  ///< packed multi-cursor kernels
+  std::uint64_t tier_simd_runs = 0;  ///< Always 0: kept for lr90bench.
   PoolStats pool;                ///< aggregated workspace counters
 
   // Snapshot / cross-request-cache counters (snapshot-addressed requests
@@ -337,7 +336,6 @@ class EngineServer {
   std::atomic<std::uint64_t> intra_threads_peak_{0};  ///< max host_threads
   std::atomic<std::uint64_t> tier_legacy_runs_{0};  ///< kLegacy results
   std::atomic<std::uint64_t> tier_packed_runs_{0};  ///< kPackedCursors results
-  std::atomic<std::uint64_t> tier_simd_runs_{0};    ///< kSimdGather results
   std::atomic<std::uint64_t> rank_requests_{0};  ///< accepted rank jobs
   std::atomic<std::uint64_t> scan_requests_{0};  ///< accepted scan jobs
   std::atomic<std::uint64_t> snapshot_updates_{0};  ///< update_snapshot()s

@@ -1,8 +1,5 @@
 #include "support/cpu_features.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
 #include <cpuid.h>
 #define LR90_HAVE_CPUID 1
@@ -26,9 +23,6 @@ unsigned long long read_xcr0() {
 
 CpuFeatures probe() {
   CpuFeatures f;
-  const char* force = std::getenv("LR90_FORCE_SCALAR");
-  f.forced_scalar = force != nullptr && *force != '\0' &&
-                    std::strcmp(force, "0") != 0;
 #if defined(LR90_HAVE_CPUID)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
@@ -47,18 +41,11 @@ CpuFeatures probe() {
   return f;
 }
 
-/// The cached probe result. A function-local static makes the first call
-/// thread-safe (C++ magic statics); refresh_cpu_features() mutates it and
-/// is documented single-threaded.
-CpuFeatures& cached() {
-  static CpuFeatures f = probe();
-  return f;
-}
-
 }  // namespace
 
-const CpuFeatures& cpu_features() { return cached(); }
-
-void refresh_cpu_features() { cached() = probe(); }
+const CpuFeatures& cpu_features() {
+  static const CpuFeatures f = probe();  // magic static: thread-safe
+  return f;
+}
 
 }  // namespace lr90

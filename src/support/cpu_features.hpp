@@ -1,45 +1,18 @@
-// Runtime CPU-feature detection for the host SIMD gather tier.
-//
-// The packed hot path has a third kernel family (core/host_exec.hpp
-// KernelTier::kSimdGather) that fetches W hot words per vector gather
-// instruction -- the literal analog of the paper's Cray C90 VL=64 hardware
-// gather. That family is compiled into every binary behind
-// __attribute__((target("avx2"))) and selected at RUN TIME from CPUID, so
-// one binary runs everywhere: machines without AVX2 (or whose OS does not
-// save the YMM state) take the scalar multi-cursor kernels instead, and
-// the answers are bit-identical either way.
-//
-// LR90_FORCE_SCALAR=1 in the environment forces the scalar answer from
-// simd_gather_available() regardless of hardware -- the CI lever that
-// proves the dispatcher's fallback path on gather-capable machines.
+// CPU-feature probe, kept for run provenance (benchmarks print which
+// vector extensions the machine had when it produced a number). No kernel
+// dispatches on it: the host hot path is one scalar multi-cursor family
+// (core/host_exec.hpp) on every machine.
 #pragma once
-
-// Can this build COMPILE the AVX2 gather kernels at all? (Running them is
-// a separate, CPUID-gated question -- simd_gather_available() below.)
-// GCC/Clang on x86-64 compile intrinsics inside
-// __attribute__((target("avx2"))) functions without -mavx2 on the command
-// line, which is what keeps the whole binary runnable on non-AVX2
-// machines: only the explicitly-dispatched functions contain VEX code.
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define LR90_SIMD_GATHER_COMPILED 1
-#define LR90_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define LR90_SIMD_GATHER_COMPILED 0
-#define LR90_TARGET_AVX2
-#endif
 
 namespace lr90 {
 
 /// What the running CPU (and OS) can execute, probed once via CPUID.
 struct CpuFeatures {
-  /// AVX2 present and the OS saves YMM state (XCR0 bits 1+2): the
-  /// _mm256_i32gather_epi64 tier may run.
+  /// AVX2 present and the OS saves YMM state (XCR0 bits 1+2).
   bool avx2 = false;
   /// AVX-512F present and the OS saves ZMM state (XCR0 bits 5..7) too.
   bool avx512f = false;
-  /// LR90_FORCE_SCALAR was set (non-empty, not "0") in the environment:
-  /// the dispatcher reports no gather support whatever the hardware says.
+  /// Always false: kept for lr90bench's provenance check.
   bool forced_scalar = false;
 };
 
@@ -47,18 +20,7 @@ struct CpuFeatures {
 /// call; thread-safe).
 const CpuFeatures& cpu_features();
 
-/// Re-probes CPUID and the LR90_FORCE_SCALAR environment knob, replacing
-/// the cached answer. For tests that flip the knob mid-process; not
-/// thread-safe against concurrent cpu_features() readers, so call it only
-/// from single-threaded test setup.
-void refresh_cpu_features();
-
-/// True iff the SIMD gather tier may run here: AVX2 usable and not forced
-/// off via LR90_FORCE_SCALAR. The single question the kernel dispatcher
-/// and the Planner ask.
-inline bool simd_gather_available() {
-  const CpuFeatures& f = cpu_features();
-  return f.avx2 && !f.forced_scalar;
-}
+/// Always false: the SIMD gather tier is gone; kept for lr90bench.
+inline bool simd_gather_available() { return false; }
 
 }  // namespace lr90

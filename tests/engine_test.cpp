@@ -8,7 +8,6 @@
 #include "core/host_exec.hpp"
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
-#include "support/cpu_features.hpp"
 #include "test_util.hpp"
 
 namespace lr90 {
@@ -641,23 +640,19 @@ TEST(Engine, PinnedS1SurvivesAutoM) {
 
 TEST(Planner, AutoThreadsComeFromTheJointGrid) {
   // threads = 0: the planner resolves the worker count from the joint
-  // (tier x threads x W) grid, capped at the machine. The pick must agree
-  // with the model evaluated at the same cap and the same tier families
-  // this CPU can run, whatever this machine is.
+  // (threads x W) grid, capped at the machine. The pick must agree with
+  // the model evaluated at the same cap, whatever this machine is.
   EngineOptions eo;
   eo.backend = BackendKind::kHost;
   eo.threads = 0;
   const Planner planner(eo);
   const unsigned eff = host_exec::effective_threads(0);
-  const TuneTier tt = simd_gather_available() ? TuneTier::kBoth
-                                              : TuneTier::kCursorsOnly;
   const auto d = planner.decide(1u << 22, Method::kAuto, /*rank=*/true);
   ASSERT_EQ(d.method, Method::kReidMiller);
-  const HostTuneResult ht = host_tune(1u << 22, 1.0, eff, 0, 0, {}, tt);
+  const HostTuneResult ht = host_tune(1u << 22, 1.0, eff);
   EXPECT_EQ(d.threads, std::max(1u, std::min(ht.threads, eff)));
   EXPECT_EQ(d.interleave, ht.interleave);
-  EXPECT_EQ(d.tier, ht.simd ? KernelTier::kSimdGather
-                            : KernelTier::kPackedCursors);
+  EXPECT_EQ(d.tier, KernelTier::kPackedCursors);
 
   // On an (emulated) 8-thread machine the joint grid wants real thread
   // parallelism for a DRAM-resident list, and W re-tuned at that count.
@@ -667,7 +662,7 @@ TEST(Planner, AutoThreadsComeFromTheJointGrid) {
   const auto d8 = p8.decide(1u << 22, Method::kAuto, /*rank=*/true);
   ASSERT_EQ(d8.method, Method::kReidMiller);
   EXPECT_EQ(d8.threads, 8u);
-  EXPECT_EQ(d8.interleave, host_tune(1u << 22, 1.0, 8, 8, 0, {}, tt).interleave);
+  EXPECT_EQ(d8.interleave, host_tune(1u << 22, 1.0, 8, 8).interleave);
 }
 
 TEST(Engine, ReportsThreadsAndPerPhaseTimings) {

@@ -316,12 +316,12 @@ TEST(NetServer, PlaintextStatsAndHealthForNetcatUsers) {
     ASSERT_TRUE(client.read_until_eof(text).ok());
     EXPECT_NE(text.find("queue_capacity "), std::string::npos) << text;
     // Every ServerStats and NetStats counter has its own row (NetStats
-    // rows carry a net_ prefix).
+    // rows carry a net_ prefix), except tier_simd_runs, which is always 0.
     const char* const kServeCounters[] = {
         "submitted", "rejected", "completed", "batches", "coalesced",
         "collapsed", "peak_batch", "queue_depth_hwm", "rank_requests",
         "scan_requests", "intra_threads_peak", "tier_legacy_runs",
-        "tier_packed_runs", "tier_simd_runs", "packed_builds", "slab_hits",
+        "tier_packed_runs", "packed_builds", "slab_hits",
         "slab_misses", "slab_evictions", "result_hits", "result_misses",
         "result_evictions", "cache_resident_bytes", "cache_resident_entries",
         "snapshots_live", "snapshot_updates", "stale_rejections",
@@ -373,7 +373,7 @@ TEST(NetServer, HttpGetStatsAdapterAnswersCurlShapedRequests) {
     ASSERT_EQ(resp.status, WireStatus::kOk) << resp.text;
   }
   const serve::ServerStats ss = server.serve_stats();
-  EXPECT_GE(ss.tier_legacy_runs + ss.tier_packed_runs + ss.tier_simd_runs, 1u);
+  EXPECT_GE(ss.tier_legacy_runs + ss.tier_packed_runs, 1u);
 
   {
     // A curl-shaped request: short request line, then headers that push
@@ -393,7 +393,6 @@ TEST(NetServer, HttpGetStatsAdapterAnswersCurlShapedRequests) {
     EXPECT_NE(text.find("net_req_stats "), std::string::npos) << text;
     EXPECT_NE(text.find("tier_legacy_runs "), std::string::npos) << text;
     EXPECT_NE(text.find("tier_packed_runs "), std::string::npos) << text;
-    EXPECT_NE(text.find("tier_simd_runs "), std::string::npos) << text;
   }
   {
     NetClient client = connect_client(server);

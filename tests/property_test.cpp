@@ -292,14 +292,11 @@ INSTANTIATE_TEST_SUITE_P(Widths, HostInterleaveHarness,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u));
 
 // ---------------------------------------------------------------------
-// The SIMD gather tier: KernelTier::kSimdGather forced through the
-// Engine, every generator shape and size class, every operator, scan AND
-// rank -- bit-exact against the serial oracle. Lane-capable operators
-// must report the tier that can actually run here (kSimdGather on a
-// gather-capable CPU, the kPackedCursors downgrade otherwise); the
-// two-lane operators must land on kPackedCursors under the same forced
-// plan, since the gather tier only loads 8-byte hot words and their wide
-// records run the scalar cursors.
+// The KernelTier::kSimdGather pin: one kernel family remains, so a pin
+// selects nothing. Forced through the Engine, every generator shape and
+// size class, every operator, scan AND rank must be bit-exact against the
+// serial oracle, report the packed cursors whenever the sublist kernels
+// ran, and match an unpinned engine's method, tier and answer.
 // Method::kReidMiller is requested explicitly so the sublist kernels run
 // even at sizes the auto planner would hand to the serial walk.
 // ---------------------------------------------------------------------
@@ -311,12 +308,10 @@ TEST_P(SimdTierHarness, ForcedSimdMatchesSerialOracle) {
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.threads = 3;
-  opt.tier = KernelTier::kSimdGather;
   opt.interleave = width;
+  Engine unpinned{EngineOptions(opt)};
+  opt.tier = KernelTier::kSimdGather;
   Engine engine(std::move(opt));
-  const KernelTier packed_tier = simd_gather_available()
-                                     ? KernelTier::kSimdGather
-                                     : KernelTier::kPackedCursors;
   for (const ScanOp op : kAllScanOps) {
     for (const Shape shape : kAllShapes) {
       for (const std::size_t n : kHarnessSizes) {
@@ -331,25 +326,25 @@ TEST_P(SimdTierHarness, ForcedSimdMatchesSerialOracle) {
               << " tier=simd-gather";
         SCOPED_TRACE(repro.str());
 
-        const RunResult r = engine.run(OpRequest{&l, op, Method::kReidMiller});
-        ASSERT_TRUE(r.ok()) << r.status.message;
-        testutil::expect_scan_eq(r.scan, oracle_scan(l, op));
-        if (n >= 4) {
-          // The sublist kernels ran (want = min(sublists, n/2) >= 2):
-          // lane-capable operators must report the gather tier (or its
-          // CPU downgrade), two-lane operators the wide-record cursors.
-          EXPECT_EQ(r.stats.kernel_tier, scan_op_lane32(op)
-                                             ? packed_tier
-                                             : KernelTier::kPackedCursors);
-          if (r.stats.kernel_tier == KernelTier::kSimdGather)
-            EXPECT_EQ(r.stats.host_interleave % 4, 0u)
-                << "SIMD cursors run in whole groups of 4 lanes";
-        }
+        for (const bool rank_req : {false, true}) {
+          const RunResult r =
+              rank_req ? engine.rank(l, Method::kReidMiller)
+                       : engine.run(OpRequest{&l, op, Method::kReidMiller});
+          ASSERT_TRUE(r.ok()) << r.status.message;
+          testutil::expect_scan_eq(
+              r.scan, rank_req ? reference_rank(l) : oracle_scan(l, op));
+          // The sublist kernels ran (want = min(sublists, n/2) >= 2).
+          if (n >= 4)
+            EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
 
-        const RunResult rank = engine.rank(l, Method::kReidMiller);
-        ASSERT_TRUE(rank.ok()) << rank.status.message;
-        testutil::expect_scan_eq(rank.scan, reference_rank(l));
-        if (n >= 4) EXPECT_EQ(rank.stats.kernel_tier, packed_tier);
+          const RunResult u =
+              rank_req ? unpinned.rank(l, Method::kReidMiller)
+                       : unpinned.run(OpRequest{&l, op, Method::kReidMiller});
+          ASSERT_TRUE(u.ok()) << u.status.message;
+          EXPECT_EQ(r.method_used, u.method_used);
+          EXPECT_EQ(r.stats.kernel_tier, u.stats.kernel_tier);
+          testutil::expect_scan_eq(r.scan, u.scan);
+        }
       }
     }
   }
@@ -358,10 +353,10 @@ TEST_P(SimdTierHarness, ForcedSimdMatchesSerialOracle) {
 INSTANTIATE_TEST_SUITE_P(Widths, SimdTierHarness,
                          ::testing::Values(0u, 1u, 4u, 8u, 64u));
 
-// The runtime dispatcher itself: LR90_FORCE_SCALAR must route the SAME
-// binary onto the scalar cursor kernels, bit-exactly, and say so in
-// RunStats::kernel_tier -- the fallback CI proves on gather-capable
-// machines.
+// LR90_FORCE_SCALAR is no longer read: every machine already runs the
+// scalar cursor kernels. A pinned-simd request with it set must land on
+// the same packed cursors with the identical answer, and the probe must
+// not report a forced-scalar CPU (lr90bench refuses to run on one).
 TEST(SimdTierDispatch, ForcedScalarFallsBackBitExact) {
   Rng rng(0x00d1);
   const LinkedList l = random_list(4096, rng);
@@ -370,24 +365,19 @@ TEST(SimdTierDispatch, ForcedScalarFallsBackBitExact) {
   opt.backend = BackendKind::kHost;
   opt.threads = 3;
   opt.tier = KernelTier::kSimdGather;
-  Engine simd_engine{EngineOptions(opt)};
-  const RunResult before = simd_engine.rank(l, Method::kReidMiller);
+  Engine before_engine{EngineOptions(opt)};
+  const RunResult before = before_engine.rank(l, Method::kReidMiller);
   ASSERT_TRUE(before.ok()) << before.status.message;
-  if (simd_gather_available())
-    EXPECT_EQ(before.stats.kernel_tier, KernelTier::kSimdGather);
+  EXPECT_EQ(before.stats.kernel_tier, KernelTier::kPackedCursors);
 
   ::setenv("LR90_FORCE_SCALAR", "1", /*overwrite=*/1);
-  refresh_cpu_features();
-  ASSERT_FALSE(simd_gather_available());
-  EXPECT_TRUE(cpu_features().forced_scalar);
-  // A fresh engine: the planner consults CPUID at decide time, and the
-  // forced-off dispatcher must land the same request on the scalar
-  // cursor family with the identical answer.
-  Engine scalar_engine{EngineOptions(opt)};
-  const RunResult after = scalar_engine.rank(l, Method::kReidMiller);
+  Engine after_engine{EngineOptions(opt)};
+  const RunResult after = after_engine.rank(l, Method::kReidMiller);
+  const bool forced_scalar = cpu_features().forced_scalar;
   ::unsetenv("LR90_FORCE_SCALAR");
-  refresh_cpu_features();
   ASSERT_TRUE(after.ok()) << after.status.message;
+  EXPECT_FALSE(forced_scalar);
+  EXPECT_FALSE(simd_gather_available());
   EXPECT_EQ(after.stats.kernel_tier, KernelTier::kPackedCursors);
   testutil::expect_scan_eq(after.scan, before.scan);
   testutil::expect_scan_eq(after.scan, reference_rank(l));

@@ -42,8 +42,9 @@ KEY_FIELDS = {"n", "variant", "w", "t", "op", "clients", "tier", "method",
 # Numeric measurement fields where LOWER is better.
 LOWER_BETTER_SUFFIXES = ("_ms", "_ns", "_us", "ns_per_elem", "p50_us",
                          "p99_us")
-# Exact-name measurements (timing ratios that no suffix rule catches).
-LOWER_BETTER_NAMES = {"vs_hard_coded"}
+# Exact-name measurements (timings and timing ratios that no suffix rule
+# catches).
+LOWER_BETTER_NAMES = {"vs_hard_coded", "vs_dispatched", "fire_ns_per_call"}
 # Numeric measurement fields where HIGHER is better.
 HIGHER_BETTER_SUFFIXES = ("req_per_s", "_efficiency", "parallel_frac")
 HIGHER_BETTER_PREFIXES = ("speedup",)

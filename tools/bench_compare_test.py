@@ -11,6 +11,8 @@ Covers the gate semantics that keep the perf trajectory honest:
     silently drop the field from comparison forever -- it warns, and
     --strict turns that into a failure.
   * correctness-field changes fail regardless of --strict.
+  * timing fields that no suffix rule catches (op_scan's faultpoint row)
+    are measurements, not correctness fields.
 """
 
 from __future__ import annotations
@@ -125,6 +127,26 @@ class BenchCompareTest(unittest.TestCase):
         p = run(self.old_dir, self.new_dir)
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
         self.assertIn("regressed", p.stdout)
+        p = run(self.old_dir, self.new_dir, "--strict")
+        self.assertEqual(p.returncode, 1)
+
+    def test_op_scan_faultpoint_timings_are_measurements(self) -> None:
+        # op_scan's faultpoint row carries a timing ratio and a per-call
+        # time: noise moves them, so they warn like any measurement
+        # rather than failing as if a different kernel had run.
+        old = doc("op_scan", [{"tier": "faultpoint", "median_ms": 2.0,
+                               "vs_dispatched": 1.0,
+                               "fire_ns_per_call": 2.0}])
+        new = doc("op_scan", [{"tier": "faultpoint", "median_ms": 2.0,
+                               "vs_dispatched": 1.5,
+                               "fire_ns_per_call": 3.0}])
+        self.write(self.old_dir, "BENCH_op_scan.json", old)
+        self.write(self.new_dir, "BENCH_op_scan.json", new)
+        p = run(self.old_dir, self.new_dir)
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertNotIn("correctness field", p.stdout)
+        self.assertIn("vs_dispatched regressed", p.stdout)
+        self.assertIn("fire_ns_per_call regressed", p.stdout)
         p = run(self.old_dir, self.new_dir, "--strict")
         self.assertEqual(p.returncode, 1)
 
